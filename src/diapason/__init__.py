@@ -76,4 +76,4 @@ from .analysis import (
     mean_table,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"

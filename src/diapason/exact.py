@@ -53,7 +53,10 @@ class Ratio:
     domain has no zero or negative pitches, and nothing here needs it.
     """
 
-    __slots__ = ("num", "den")
+    # _hash is filled on the first hash() call: closure passes hash the
+    # same tones many times, and a Fraction per call cost more than the
+    # rest of the membership test.
+    __slots__ = ("num", "den", "_hash")
 
     num: int
     den: int
@@ -70,6 +73,7 @@ class Ratio:
             raise RatioOverflowError(f"ratio part exceeds {MAGNITUDE_LIMIT.bit_length() - 1} bits")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Ratio is immutable")
@@ -138,7 +142,11 @@ class Ratio:
 
     def __hash__(self) -> int:
         # Agree with int/Fraction hashing so 2/1 and 2 collide correctly.
-        return hash(Fraction(self.num, self.den))
+        h = self._hash
+        if h is None:
+            h = hash(Fraction(self.num, self.den))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- conversions --------------------------------------------------
 

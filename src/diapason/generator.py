@@ -7,13 +7,24 @@ a ClosureTrace: per-generation additions, each with one witnessing pair,
 plus the final scale.  Batch passes are an implementation choice — the
 one-tone-at-a-time variant provably lands on the same fixpoint, and
 `closure_order_independence` re-derives that on demand.
+
+Passes after the first are semi-naive (Bancilhon & Ramakrishnan, 1986):
+they scan only the pairs that hold at least one tone of the previous
+generation.  The fresh-pair lemma makes that exact.  Pass g-1 scanned
+every pair of the set S it started from and added every admissible mean
+missing from S, so a tone first found in pass g has no witness inside S;
+each of its witnesses holds a tone added in generation g-1.  The fresh
+pairs are still visited in sorted (a, b) order and kinds in sorted
+order, so the witness stored is the same least one a full rescan would
+store, and the generations come out identical for any seed, including
+seed tones outside the prime limit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from .exact import FIVE_LIMIT, Ratio, Restriction, is_smooth
 from .means import MeanKind, mean_of_kind
@@ -115,29 +126,48 @@ class ClosureTrace:
         }
 
 
+def _pairs(ordered: list[Ratio], fresh: AbstractSet[Ratio] | None) -> Iterator[tuple[Ratio, Ratio]]:
+    """The pairs (a, b), a < b, of sorted `ordered`, in lexicographic order.
+
+    With `fresh` (a subset of `ordered`), only pairs holding a fresh tone.
+    """
+    fresh_ordered = ordered if fresh is None else [t for t in ordered if t in fresh]
+    fresh_seen = 0
+    for i, a in enumerate(ordered):
+        if fresh is None or a in fresh:
+            fresh_seen += 1
+            partners = ordered[i + 1 :]
+        else:
+            partners = fresh_ordered[fresh_seen:]  # the fresh tones above a
+        for b in partners:
+            yield a, b
+
+
 def _admissible_means(
-    tones: Iterable[Ratio], config: GeneratorConfig
+    tones: Iterable[Ratio],
+    config: GeneratorConfig,
+    fresh: AbstractSet[Ratio] | None = None,
 ) -> dict[Ratio, Witness]:
     """Every in-limit pairwise mean of `tones`, keyed by value.
 
     Pairs are scanned in sorted order and kinds alphabetically, so the
     witness stored for each mean is the lexicographically least one —
-    that is what makes traces reproducible.
+    that is what makes traces reproducible.  Given `fresh`, only pairs
+    holding at least one fresh tone are scanned, in that same order.
     """
-    ordered = sorted(tones)
+    kinds = sorted(config.kinds, key=lambda k: k.value)
     found: dict[Ratio, Witness] = {}
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            for kind in sorted(config.kinds, key=lambda k: k.value):
-                mean = mean_of_kind(a, b, kind)
-                if mean is None:
-                    continue  # irrational geometric mean
-                if config.keep_within_diapason and not _ONE <= mean <= _TWO:
-                    mean = reduce_to_diapason(mean)
-                if not is_smooth(mean, config.restriction):
-                    continue
-                if mean not in found:
-                    found[mean] = Witness(mean, a, b, kind)
+    for a, b in _pairs(sorted(tones), fresh):
+        for kind in kinds:
+            mean = mean_of_kind(a, b, kind)
+            if mean is None:
+                continue  # irrational geometric mean
+            if config.keep_within_diapason and not _ONE <= mean <= _TWO:
+                mean = reduce_to_diapason(mean)
+            if not is_smooth(mean, config.restriction):
+                continue
+            if mean not in found:
+                found[mean] = Witness(mean, a, b, kind)
     return found
 
 
@@ -159,8 +189,9 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     current = set(seed.tones)
     generations: list[Generation] = []
     fixpoint = False
+    new = None  # the first pass scans every pair
     for _ in range(config.max_generations):
-        found = _admissible_means(current, config)
+        found = _admissible_means(current, config, fresh=new)
         new = set(found) - current
         if not new:
             fixpoint = True
@@ -184,6 +215,10 @@ def closure_order_independence(
     chosen admissible mean at a time, and compares every outcome with
     the batch fixpoint.  The batch closure must terminate, otherwise
     there is nothing to compare against.
+
+    The candidates are kept incrementally: inserting t removes t and
+    adds the new means of the pairs holding t, which leaves exactly the
+    set a full rescan of the grown set would give.
     """
     batch = mean_closure(seed, config)
     if not batch.fixpoint_reached:
@@ -192,11 +227,12 @@ def closure_order_independence(
     rng = random.Random(rng_seed)
     for _ in range(trials):
         current = set(seed.tones)
-        while True:
-            candidates = sorted(set(_admissible_means(current, config)) - current)
-            if not candidates:
-                break
-            current.add(rng.choice(candidates))
+        pending = set(_admissible_means(current, config)) - current
+        while pending:
+            tone = rng.choice(sorted(pending))
+            current.add(tone)
+            pending.discard(tone)
+            pending |= set(_admissible_means(current, config, fresh={tone})) - current
         if current != target:
             return False
     return True

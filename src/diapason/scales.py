@@ -72,6 +72,9 @@ class Scale:
                 raise ValueError(f"tones must strictly increase: {left} !< {right}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "tones", tones)
+        # Membership is asked once per cell of a mean table; a tuple scan
+        # there made the table cubic in the scale size.
+        object.__setattr__(self, "_members", frozenset(tones))
 
     def __len__(self) -> int:
         return len(self.tones)
@@ -80,7 +83,7 @@ class Scale:
         return iter(self.tones)
 
     def __contains__(self, tone: object) -> bool:
-        return tone in self.tones
+        return tone in self._members
 
     def is_anchored(self) -> bool:
         """Starts on the unison."""

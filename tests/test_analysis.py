@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio
+from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio, Restriction, is_smooth
 from diapason.analysis import (
     INTERVAL_NAMES,
     TableClass,
@@ -15,6 +15,7 @@ from diapason.analysis import (
     interval_name,
     mean_table,
 )
+from diapason.generator import GeneratorConfig, mean_closure
 from diapason.means import MeanKind
 from diapason.scales import canonical
 
@@ -76,6 +77,25 @@ class TestMeanTable:
     def test_values_are_actual_means(self):
         for cell in mean_table(canonical("NATURAL"), FIVE_LIMIT):
             assert cell.mean * 2 == cell.row + cell.col
+
+    def test_large_table_matches_a_tuple_scan(self):
+        # the 182-tone 11-limit closure of T: classes must agree with
+        # membership decided by scanning the tones one by one
+        eleven = Restriction({2, 3, 5, 7, 11})
+        scale = mean_closure(canonical("T"), GeneratorConfig(restriction=eleven)).final
+        assert len(scale) == 182
+        cells = mean_table(scale, eleven)
+        assert len(cells) == 182 * 181 // 2
+        for cell in cells:
+            if any(cell.mean == tone for tone in scale.tones):
+                expected = TableClass.IN_SCALE
+            elif is_smooth(cell.mean, eleven):
+                expected = TableClass.IN_LIMIT
+            else:
+                expected = TableClass.OUTSIDE
+            assert cell.klass is expected
+        # the closure is closed under arithmetic means, so nothing is InLimit
+        assert {c.klass for c in cells} == {TableClass.IN_SCALE, TableClass.OUTSIDE}
 
     def test_natural_admissible_means_match_closure_step(self):
         # the non-Outside values of the table are exactly the admissible

@@ -162,6 +162,17 @@ class TestProtocol:
         assert hash(Ratio(3, 2)) == hash(fractions.Fraction(3, 2))
         assert hash(Ratio(2)) == hash(fractions.Fraction(2))
 
+    def test_cached_hash_is_stable_and_immutable(self):
+        r = Ratio(243, 128)
+        first = hash(r)
+        assert hash(r) == first == hash(fractions.Fraction(243, 128))
+        assert hash(r) == hash(Ratio(486, 256))
+        assert {r: 1}[Ratio(243, 128)] == 1
+        for name in ("num", "den", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        assert hash(r) == first
+
     def test_float(self):
         assert float(Ratio(3, 2)) == 1.5
         assert abs(float(Ratio(81, 64)) - 1.265625) < 1e-15

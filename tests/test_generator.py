@@ -1,10 +1,12 @@
 """Mean-generator closure: single passes, fixpoints, traces, confluence."""
 
+import itertools
 import json
+import random
 
 import pytest
 
-from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio
+from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio, Restriction, is_smooth
 from diapason.generator import (
     ClosureTrace,
     GeneratorConfig,
@@ -13,7 +15,7 @@ from diapason.generator import (
     generate_means,
     mean_closure,
 )
-from diapason.means import MeanKind
+from diapason.means import MeanKind, mean_of_kind
 from diapason.scales import Scale, canonical
 
 AH = frozenset({MeanKind.ARITHMETIC, MeanKind.HARMONIC})
@@ -262,3 +264,115 @@ class TestClosureInvariants:
             assert generation.added  # productive generations only
             assert not (set(generation.added) & seen)
             seen |= set(generation.added)
+
+
+def full_rescan_closure(seed, config):
+    """Reference closure: every pass rescans every pair of the whole set.
+
+    Returns (generations, fixpoint, final) in the trace's own terms; the
+    least witness is the first one met in sorted (a, b, kind) order.
+    """
+    kinds = sorted(config.kinds, key=lambda k: k.value)
+    current, generations = set(seed.tones), []
+    for _ in range(config.max_generations):
+        found = {}
+        for a, b in itertools.combinations(sorted(current), 2):
+            for kind in kinds:
+                mean = mean_of_kind(a, b, kind)
+                if mean is not None and is_smooth(mean, config.restriction):
+                    found.setdefault(mean, Witness(mean, a, b, kind))
+        added = tuple(sorted(set(found) - current))
+        if not added:
+            return tuple(generations), True, sorted(current)
+        generations.append((added, tuple(found[t] for t in added)))
+        current.update(added)
+    return tuple(generations), False, sorted(current)
+
+
+_KIND_SETS = {
+    "A": {MeanKind.ARITHMETIC},
+    "AH": {MeanKind.ARITHMETIC, MeanKind.HARMONIC},
+    "AGH": set(MeanKind),
+}
+_GRID = [
+    pytest.param(name, primes, kinds, id=f"{name}-{primes[-1]}-{kinds}")
+    for name in ("T", "NATURAL", "T5")
+    for primes in ((2, 3, 5), (2, 3, 5, 7))
+    for kinds in _KIND_SETS
+]
+_SEVEN_FOUR = Scale("T+7/4", [ONE, Ratio(4, 3), Ratio(3, 2), Ratio(7, 4), Ratio(2)])
+
+
+def _grid_config(primes, kinds, **extra):
+    return GeneratorConfig(kinds=_KIND_SETS[kinds], restriction=Restriction(primes), **extra)
+
+
+def _assert_same_as_full_rescan(seed, config):
+    trace = mean_closure(seed, config)
+    generations, fixpoint, final = full_rescan_closure(seed, config)
+    assert tuple(tuple(g) for g in trace.generations) == generations
+    assert trace.fixpoint_reached is fixpoint
+    assert list(trace.final) == final
+
+
+class TestSemiNaiveMatchesFullRescan:
+    @pytest.mark.parametrize("name,primes,kinds", _GRID)
+    def test_grid(self, name, primes, kinds):
+        _assert_same_as_full_rescan(canonical(name), _grid_config(primes, kinds))
+
+    def test_seed_tone_outside_the_limit(self):
+        # 7/4 is no 5-limit tone, yet it still pairs with the others
+        for kinds in _KIND_SETS:
+            _assert_same_as_full_rescan(_SEVEN_FOUR, _grid_config((2, 3, 5), kinds))
+
+    def test_generation_cap(self):
+        config = _grid_config((2, 3, 5, 7), "AH", max_generations=2)
+        assert not mean_closure(canonical("T"), config).fixpoint_reached
+        _assert_same_as_full_rescan(canonical("T"), config)
+
+    @pytest.mark.parametrize("name,primes,kinds", _GRID)
+    def test_witnesses_touch_the_previous_generation(self, name, primes, kinds):
+        trace = mean_closure(canonical(name), _grid_config(primes, kinds))
+        for previous, generation in zip(trace.generations, trace.generations[1:]):
+            fresh = set(previous.added)
+            for w in generation.witnesses:
+                assert w.a in fresh or w.b in fresh
+
+
+def full_rescan_certify(seed, config, trials, rng_seed):
+    """Reference certifier: recompute all candidates after every insertion."""
+    rng = random.Random(rng_seed)
+    for _ in range(trials):
+        current = set(seed.tones)
+        while True:
+            candidates = sorted(generate_means(Scale("s", sorted(current)), config) - current)
+            if not candidates:
+                break
+            current.add(rng.choice(candidates))
+
+
+@pytest.mark.parametrize(
+    "seed,config,trials",
+    [
+        (canonical("NATURAL"), GeneratorConfig(), 20),
+        (canonical("T"), GeneratorConfig(kinds=AH), 3),
+        (canonical("T"), _grid_config((2, 3, 5, 7), "A"), 3),
+        (_SEVEN_FOUR, _grid_config((2, 3, 5), "AGH"), 3),
+    ],
+    ids=["NATURAL-5-A", "T-5-AH", "T-7-A", "T+7/4-5-AGH"],
+)
+def test_certifier_draws_from_the_same_candidates(monkeypatch, seed, config, trials):
+    log = []
+    choice = random.Random.choice
+
+    def logging_choice(rng, seq):
+        log.append(list(seq))
+        return choice(rng, seq)
+
+    monkeypatch.setattr(random.Random, "choice", logging_choice)
+    assert closure_order_independence(seed, config, trials, rng_seed=7)
+    incremental = list(log)
+    log.clear()
+    full_rescan_certify(seed, config, trials, rng_seed=7)
+    assert incremental == log
+    assert len(log) > trials

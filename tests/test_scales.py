@@ -97,6 +97,20 @@ class TestScale:
         assert Ratio(5, 4) not in s
         assert list(s) == [ONE, Ratio(4, 3), Ratio(3, 2), TWO]
 
+    def test_membership_present_and_absent(self):
+        s = pythagorean_by_diapente(11)
+        for tone in s.tones:
+            assert tone in s
+            assert Ratio(tone.num, tone.den) in s  # equal value, other object
+        for tone in (Ratio(5, 4), Ratio(7, 4), Ratio(1, 2), Ratio(3)):
+            assert tone not in s
+
+    def test_integer_matches_its_ratio(self):
+        assert 2 in canonical("NATURAL")
+        assert 1 in canonical("NATURAL")
+        assert 3 not in canonical("NATURAL")
+        assert 2 not in canonical("FINALES")
+
     def test_anchored_and_closed(self):
         assert canonical("T").is_anchored()
         assert canonical("T").is_closed()
