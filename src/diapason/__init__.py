@@ -20,11 +20,9 @@ from .exact import (
     exact_sqrt,
     factorize,
     is_smooth,
-    make_ratio,
     parse_ratio,
 )
 from .means import (
-    GeometricMean,
     MeanKind,
     StringModel,
     duality_check,
@@ -76,4 +74,4 @@ from .analysis import (
     mean_table,
 )
 
-__version__ = "0.1.1"
+__version__ = "0.2.0"

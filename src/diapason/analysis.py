@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exact import Ratio, Restriction, factorize, is_smooth, make_ratio
+from .exact import Ratio, Restriction, factorize, is_smooth
 from .means import MeanKind, mean_of_kind
 from .scales import PitchClass, Scale, cents, equal_temperament, reduce_to_diapason, step_intervals
 
@@ -204,7 +204,7 @@ def _names() -> dict[Ratio, str]:
         (5, 3, "sesta maggiore (Senario)"),
         (8, 5, "sesta minore (Senario)"),
     ]
-    return {make_ratio(n, d): label for n, d, label in entries}
+    return {Ratio(n, d): label for n, d, label in entries}
 
 
 INTERVAL_NAMES = _names()

@@ -1,7 +1,8 @@
 """Command-line front end: scales, closures, mean tables, reports.
 
 Every command writes a deterministic report to stdout — same arguments,
-same bytes — in one of four formats (plain, json, csv, markdown).
+same bytes — in one of four formats (plain, json, csv, markdown): each
+command builds one Report, and `_render` alone knows the formats.
 Diagnostics go to stderr.  Exit codes: 0 success (closure: fixpoint
 reached), 2 usage error, 3 closure stopped by the generation cap,
 4 exact-arithmetic overflow.
@@ -14,27 +15,15 @@ import csv
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .analysis import (
-    TableClass,
-    compare_to_equal,
-    interval_census,
-    interval_name,
-    mean_table,
-)
-from .exact import RatioOverflowError, Restriction
-from .generator import GeneratorConfig, mean_closure
+from .analysis import TableClass, compare_to_equal, interval_census, interval_name, mean_table
+from .exact import Ratio, RatioOverflowError, Restriction
+from .generator import GeneratorConfig, Witness, mean_closure
 from .means import MeanKind
 from .scales import (
-    CANONICAL_NAMES,
-    EqualTemperament,
-    Scale,
-    canonical,
-    cents,
-    equal_temperament,
-    pythagorean_by_diapente,
-    step_intervals,
+    CANONICAL_NAMES, EqualTemperament, Scale, canonical, cents, equal_temperament,
+    pythagorean_by_diapente, step_intervals,
 )
 
 __all__ = ["main"]
@@ -55,7 +44,7 @@ def _parenthesized(label: str) -> str:
     return label if label.startswith("(") else f"({label})"
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -68,18 +57,14 @@ def _parse_primes(text: str) -> Restriction:
 
 
 def _parse_kinds(text: str) -> frozenset[MeanKind]:
-    kinds = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            kinds.add(MeanKind(part.upper()))
-        except ValueError:
-            raise UsageError(f"bad --kinds {text!r}: know A, G, H") from None
+    parts = [part.strip().upper() for part in text.split(",")]
+    try:
+        kinds = frozenset(MeanKind(part) for part in parts if part)
+    except ValueError:
+        raise UsageError(f"bad --kinds {text!r}: know A, G, H") from None
     if not kinds:
         raise UsageError("at least one mean kind is required")
-    return frozenset(kinds)
+    return kinds
 
 
 def _resolve_scale(spec: str) -> Scale | EqualTemperament:
@@ -110,290 +95,221 @@ def _spec_int(tail: str, key: str, minimum: int) -> int:
     return value
 
 
-def _csv_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+class Report(NamedTuple):
+    """One command's result, ready for every format.
+
+    The callables build one format's body each, so only the format that
+    was asked for pays for its rows.
+    """
+
+    payload: Callable[[], object]
+    csv_header: Sequence[str]
+    csv_rows: Callable[[], Iterable[Sequence[object]]]
+    md_heading: str
+    md_header: Sequence[str]
+    md_rows: Callable[[], Iterable[Sequence[str]]]
+    plain: Callable[[], Iterable[str]]
+    md_tail: str = ""  # one line after the table
+    exit_code: int = EXIT_OK
 
 
-def _markdown_rows(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-# -- scale ------------------------------------------------------------
-
-
-def _render_scale(scale: Scale, fmt: str) -> str:
-    steps = step_intervals(scale) if len(scale.tones) >= 2 else []
+def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(scale.to_json_dict(), indent=2) + "\n"
+        return json.dumps(report.payload(), indent=2) + "\n"
     if fmt == "csv":
-        rows = [
-            [str(t), t.num, t.den, f"{cents(t):.3f}"] for t in scale.tones
-        ]
-        return _csv_rows(["tone", "num", "den", "cents"], rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(report.csv_header)
+        writer.writerows(report.csv_rows())
+        return buffer.getvalue()
     if fmt == "markdown":
-        rows = []
-        for i, tone in enumerate(scale.tones):
-            step = str(steps[i]) if i < len(steps) else ""
-            label = interval_name(steps[i]) if i < len(steps) else None
-            rows.append([str(tone), f"{cents(tone):.3f}", step, label or ""])
-        return f"### {scale.name}\n\n" + _markdown_rows(
-            ["tone", "cents", "step up", "step name"], rows
-        )
-    width = max(len(str(t)) for t in scale.tones)
-    lines = [f"scale {scale.name}: {len(scale.tones)} tones"]
-    lines += [f"  {str(t).ljust(width)}  {cents(t):9.3f}" for t in scale.tones]
-    if steps:
-        lines.append("steps:")
-        for step in steps:
-            label = interval_name(step)
-            lines.append(f"  {step}" + (f"  {_parenthesized(label)}" if label else ""))
-    return "\n".join(lines) + "\n"
+        rows = [report.md_header, ["---"] * len(report.md_header), *report.md_rows()]
+        lines = [f"### {report.md_heading}", "", *("| " + " | ".join(row) + " |" for row in rows)]
+        if report.md_tail:
+            lines += ["", report.md_tail]
+        return "\n".join(lines) + "\n"
+    return "\n".join(report.plain()) + "\n"
 
 
-def _render_temperament(et: EqualTemperament, fmt: str) -> str:
+def _exact_scale(spec: str, subject: str) -> Scale:
+    scale = _resolve_scale(spec)
+    if isinstance(scale, EqualTemperament):
+        raise UsageError(f"{subject} an exact scale, not a temperament")
+    return scale
+
+
+def _scale_report(scale: Scale) -> Report:
+    def steps() -> list[Ratio]:
+        return step_intervals(scale) if len(scale.tones) >= 2 else []
+
+    def md_rows() -> list[list[str]]:
+        # The top tone has no step up.
+        labelled = [(str(step), interval_name(step) or "") for step in steps()] + [("", "")]
+        return [[str(t), f"{cents(t):.3f}", *step] for t, step in zip(scale.tones, labelled)]
+
+    def plain() -> Iterator[str]:
+        width = max(len(str(t)) for t in scale.tones)
+        yield f"scale {scale.name}: {len(scale.tones)} tones"
+        yield from (f"  {str(t).ljust(width)}  {cents(t):9.3f}" for t in scale.tones)
+        intervals = steps()
+        if intervals:
+            yield "steps:"
+            for step in intervals:
+                label = interval_name(step)
+                yield f"  {step}" + (f"  {_parenthesized(label)}" if label else "")
+
+    return Report(
+        payload=scale.to_json_dict,
+        csv_header=["tone", "num", "den", "cents"],
+        csv_rows=lambda: [[t, t.num, t.den, f"{cents(t):.3f}"] for t in scale.tones],
+        md_heading=scale.name,
+        md_header=["tone", "cents", "step up", "step name"],
+        md_rows=md_rows,
+        plain=plain,
+    )
+
+
+def _temperament_report(et: EqualTemperament) -> Report:
     name = f"equal:N={et.divisions}"
-    degrees = list(enumerate(et.degrees, start=1))
-    if fmt == "json":
-        payload = {
-            "name": name,
-            "divisions": et.divisions,
-            "degrees": [value for _, value in degrees],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        rows = [[k, f"{value:.10f}", f"{cents(value):.3f}"] for k, value in degrees]
-        return _csv_rows(["degree", "value", "cents"], rows)
-    if fmt == "markdown":
-        rows = [[str(k), f"{value:.10f}", f"{cents(value):.3f}"] for k, value in degrees]
-        return f"### {name}\n\n" + _markdown_rows(["degree", "value", "cents"], rows)
-    lines = [f"scale {name}: {len(degrees)} degrees"]
-    lines += [f"  {k:3d}  {value:.10f}  {cents(value):9.3f}" for k, value in degrees]
-    return "\n".join(lines) + "\n"
+
+    def rows() -> list[list[str]]:
+        return [[str(k), f"{v:.10f}", f"{cents(v):.3f}"] for k, v in enumerate(et.degrees, start=1)]
+
+    return Report(
+        payload=lambda: {"name": name, "divisions": et.divisions, "degrees": list(et.degrees)},
+        csv_header=["degree", "value", "cents"],
+        csv_rows=rows,
+        md_heading=name,
+        md_header=["degree", "value", "cents"],
+        md_rows=rows,
+        plain=lambda: [f"scale {name}: {len(et.degrees)} degrees"]
+        + [f"  {k:3d}  {v:.10f}  {cents(v):9.3f}" for k, v in enumerate(et.degrees, start=1)],
+    )
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
+def _cmd_scale(args: argparse.Namespace) -> Report:
     target = _resolve_scale(args.name)
     if isinstance(target, EqualTemperament):
-        sys.stdout.write(_render_temperament(target, args.format))
-    else:
-        sys.stdout.write(_render_scale(target, args.format))
-    return EXIT_OK
+        return _temperament_report(target)
+    return _scale_report(target)
 
 
-# -- closure ----------------------------------------------------------
+def _witness(w: Witness) -> str:
+    return f"{w.kind.value}({w.a}, {w.b})"
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
-    seed = _resolve_scale(args.seed)
-    if isinstance(seed, EqualTemperament):
-        raise UsageError("closure needs an exact scale, not a temperament")
+def _cmd_closure(args: argparse.Namespace) -> Report:
+    seed = _exact_scale(args.seed, "closure needs")
     config = GeneratorConfig(
         kinds=_parse_kinds(args.kinds),
         restriction=_parse_primes(args.primes),
         max_generations=args.max_generations,
     )
     trace = mean_closure(seed, config)
-    fmt = args.format
-    if fmt == "json":
-        sys.stdout.write(json.dumps(trace.to_json_dict(), indent=2) + "\n")
-    elif fmt == "csv":
-        rows = [
-            [gen, str(w.tone), str(w.a), str(w.b), w.kind.value]
-            for gen, generation in enumerate(trace.generations, start=1)
-            for w in generation.witnesses
-        ]
-        sys.stdout.write(
-            _csv_rows(["generation", "tone", "a", "b", "kind"], rows)
-        )
-    elif fmt == "markdown":
-        rows = [
-            [str(gen), str(w.tone), f"{w.kind.value}({w.a}, {w.b})"]
-            for gen, generation in enumerate(trace.generations, start=1)
-            for w in generation.witnesses
-        ]
-        header = f"### closure of {seed.name} (primes {config.restriction})\n\n"
-        table = _markdown_rows(["generation", "added", "witness"], rows)
-        tail = (
-            f"\nfixpoint: {'yes' if trace.fixpoint_reached else 'no'}; "
-            f"final: {' '.join(str(t) for t in trace.final.tones)}\n"
-        )
-        sys.stdout.write(header + table + tail)
-    else:
+    fixpoint = "yes" if trace.fixpoint_reached else "no"
+    final = " ".join(str(t) for t in trace.final.tones)
+
+    def witnesses() -> list[tuple[int, Witness]]:
+        return [(gen, w) for gen, g in enumerate(trace.generations, start=1) for w in g.witnesses]
+
+    def plain() -> Iterator[str]:
         kinds = ",".join(sorted(k.value for k in config.kinds))
-        lines = [
-            f"closure of {seed.name} under primes {config.restriction}, kinds {kinds}",
-            "seed:  " + " ".join(str(t) for t in seed.tones),
-        ]
+        yield f"closure of {seed.name} under primes {config.restriction}, kinds {kinds}"
+        yield "seed:  " + " ".join(str(t) for t in seed.tones)
         for gen, generation in enumerate(trace.generations, start=1):
-            witnessed = "  ".join(
-                f"{w.tone} = {w.kind.value}({w.a}, {w.b})" for w in generation.witnesses
-            )
-            lines.append(f"gen {gen}: {witnessed}")
-        lines.append(f"fixpoint: {'yes' if trace.fixpoint_reached else 'no'}")
-        lines.append(
-            f"final ({len(trace.final.tones)} tones): "
-            + " ".join(str(t) for t in trace.final.tones)
-        )
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if trace.fixpoint_reached else EXIT_CAP_HIT
+            witnessed = (f"{w.tone} = {_witness(w)}" for w in generation.witnesses)
+            yield f"gen {gen}: " + "  ".join(witnessed)
+        yield f"fixpoint: {fixpoint}"
+        yield f"final ({len(trace.final.tones)} tones): {final}"
+
+    return Report(
+        payload=trace.to_json_dict,
+        csv_header=["generation", "tone", "a", "b", "kind"],
+        csv_rows=lambda: [[gen, w.tone, w.a, w.b, w.kind.value] for gen, w in witnesses()],
+        md_heading=f"closure of {seed.name} (primes {config.restriction})",
+        md_header=["generation", "added", "witness"],
+        md_rows=lambda: [[str(gen), str(w.tone), _witness(w)] for gen, w in witnesses()],
+        plain=plain,
+        md_tail=f"fixpoint: {fixpoint}; final: {final}",
+        exit_code=EXIT_OK if trace.fixpoint_reached else EXIT_CAP_HIT,
+    )
 
 
-# -- table ------------------------------------------------------------
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args.name)
-    if isinstance(scale, EqualTemperament):
-        raise UsageError("mean tables need an exact scale, not a temperament")
+def _cmd_table(args: argparse.Namespace) -> Report:
+    scale = _exact_scale(args.name, "mean tables need")
     kind = MeanKind(args.kind)
     cells = mean_table(scale, _parse_primes(args.primes), kind)
-    fmt = args.format
-    if fmt == "json":
-        payload = {
+    tones = scale.tones
+
+    def grid() -> list[list[str]]:
+        # Upper triangle: a cell exists only for a < b.
+        marked = {(c.row, c.col): f"{c.mean}{_MARKERS[c.klass]}" for c in cells}
+        return [[str(a), *(marked.get((a, b), "") for b in tones[1:])] for a in tones[:-1]]
+
+    return Report(
+        payload=lambda: {
             "scale": scale.name,
             "kind": kind.value,
-            "cells": [
-                {
-                    "row": str(c.row),
-                    "col": str(c.col),
-                    "mean": str(c.mean),
-                    "class": c.klass.value,
-                }
-                for c in cells
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
-        rows = [[str(c.row), str(c.col), str(c.mean), c.klass.value] for c in cells]
-        sys.stdout.write(_csv_rows(["row", "col", "mean", "class"], rows))
-    elif fmt == "markdown":
-        by_pair = {(c.row, c.col): c for c in cells}
-        tones = scale.tones
-        header = [""] + [str(t) for t in tones[1:]]
-        rows = []
-        for i, row_tone in enumerate(tones[:-1]):
-            row = [str(row_tone)]
-            for j, col_tone in enumerate(tones[1:], start=1):
-                if j <= i:
-                    row.append("")
-                    continue
-                cell = by_pair[(row_tone, col_tone)]
-                row.append(f"{cell.mean}{_MARKERS[cell.klass]}")
-            rows.append(row)
-        legend = "\n`**` in scale, `*` in prime limit, bare: outside.\n"
-        sys.stdout.write(
-            f"### pairwise {kind.value}-means of {scale.name}\n\n"
-            + _markdown_rows(header, rows)
-            + legend
-        )
-    else:
-        lines = [
-            f"{str(c.row)} x {str(c.col)} -> {str(c.mean)} [{c.klass.value}]"
-            for c in cells
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+            "cells": [{"row": str(c.row), "col": str(c.col), "mean": str(c.mean),
+                       "class": c.klass.value} for c in cells],
+        },
+        csv_header=["row", "col", "mean", "class"],
+        csv_rows=lambda: [[c.row, c.col, c.mean, c.klass.value] for c in cells],
+        md_heading=f"pairwise {kind.value}-means of {scale.name}",
+        md_header=["", *(str(t) for t in tones[1:])],
+        md_rows=grid,
+        plain=lambda: [f"{c.row} x {c.col} -> {c.mean} [{c.klass.value}]" for c in cells],
+        md_tail="`**` in scale, `*` in prime limit, bare: outside.",
+    )
 
 
-# -- compare ----------------------------------------------------------
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args.name)
-    if isinstance(scale, EqualTemperament):
-        raise UsageError("compare needs an exact scale, not a temperament")
+def _cmd_compare(args: argparse.Namespace) -> Report:
+    scale = _exact_scale(args.name, "compare needs")
     rows = compare_to_equal(scale, args.N)
-    fmt = args.format
-    if fmt == "json":
-        payload = {
+
+    def table() -> list[list[str]]:
+        return [[str(r.tone), str(r.degree), f"{r.deviation_cents:+.3f}"] for r in rows]
+
+    return Report(
+        payload=lambda: {
             "scale": scale.name,
             "divisions": args.N,
-            "tones": [
-                {
-                    "tone": str(r.tone),
-                    "degree": r.degree,
-                    "deviation_cents": round(r.deviation_cents, 6),
-                }
-                for r in rows
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["tone", "degree", "deviation_cents"],
-                [[str(r.tone), r.degree, f"{r.deviation_cents:+.3f}"] for r in rows],
-            )
-        )
-    elif fmt == "markdown":
-        sys.stdout.write(
-            f"### {scale.name} against equal:N={args.N}\n\n"
-            + _markdown_rows(
-                ["tone", "degree", "deviation (cents)"],
-                [[str(r.tone), str(r.degree), f"{r.deviation_cents:+.3f}"] for r in rows],
-            )
-        )
-    else:
-        lines = [
-            f"{str(r.tone)} ~ degree {r.degree}  {r.deviation_cents:+.3f} cents"
-            for r in rows
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+            "tones": [{"tone": str(r.tone), "degree": r.degree,
+                       "deviation_cents": round(r.deviation_cents, 6)} for r in rows],
+        },
+        csv_header=["tone", "degree", "deviation_cents"],
+        csv_rows=table,
+        md_heading=f"{scale.name} against equal:N={args.N}",
+        md_header=["tone", "degree", "deviation (cents)"],
+        md_rows=table,
+        plain=lambda: [f"{r.tone} ~ degree {r.degree}  {r.deviation_cents:+.3f} cents"
+                       for r in rows],
+    )
 
 
-# -- intervals --------------------------------------------------------
-
-
-def _cmd_intervals(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args.name)
-    if isinstance(scale, EqualTemperament):
-        raise UsageError("interval census needs an exact scale, not a temperament")
+def _cmd_intervals(args: argparse.Namespace) -> Report:
+    scale = _exact_scale(args.name, "interval census needs")
     census = interval_census(scale)
-    fmt = args.format
-    if fmt == "json":
-        payload = {
+
+    def table() -> list[list[str]]:
+        return [[str(c.ratio), c.label or "", str(c.count)] for c in census]
+
+    return Report(
+        payload=lambda: {
             "scale": scale.name,
-            "intervals": [
-                {"ratio": str(c.ratio), "label": c.label, "count": c.count}
-                for c in census
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    elif fmt == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["ratio", "label", "count"],
-                [[str(c.ratio), c.label or "", c.count] for c in census],
-            )
-        )
-    elif fmt == "markdown":
-        sys.stdout.write(
-            f"### step intervals of {scale.name}\n\n"
-            + _markdown_rows(
-                ["ratio", "label", "count"],
-                [[str(c.ratio), c.label or "", str(c.count)] for c in census],
-            )
-        )
-    else:
-        lines = [
-            f"{str(c.ratio)} x{c.count}" + (f"  {_parenthesized(c.label)}" if c.label else "")
+            "intervals": [{"ratio": str(c.ratio), "label": c.label, "count": c.count}
+                          for c in census],
+        },
+        csv_header=["ratio", "label", "count"],
+        csv_rows=table,
+        md_heading=f"step intervals of {scale.name}",
+        md_header=["ratio", "label", "count"],
+        md_rows=table,
+        plain=lambda: [
+            f"{c.ratio} x{c.count}" + (f"  {_parenthesized(c.label)}" if c.label else "")
             for c in census
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
-
-
-# -- entry point ------------------------------------------------------
+        ],
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,12 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=FORMATS, default="plain")
-
     p_scale = sub.add_parser("scale", help="print a scale with cents and steps")
     p_scale.add_argument("name", help="canonical name, pythagorean:steps=K, equal:N=K")
-    add_format(p_scale)
     p_scale.set_defaults(handler=_cmd_scale)
 
     p_closure = sub.add_parser("closure", help="saturate a scale with pairwise means")
@@ -416,45 +328,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p_closure.add_argument("--primes", default="2,3,5", help="allowed primes (default 2,3,5)")
     p_closure.add_argument("--kinds", default="A", help="mean kinds from A,G,H (default A)")
     p_closure.add_argument("--max-generations", type=int, default=64)
-    add_format(p_closure)
     p_closure.set_defaults(handler=_cmd_closure)
 
     p_table = sub.add_parser("table", help="pairwise mean table with classification")
     p_table.add_argument("name")
     p_table.add_argument("--primes", default="2,3,5")
     p_table.add_argument("--kind", choices=["A", "H"], default="A")
-    add_format(p_table)
     p_table.set_defaults(handler=_cmd_table)
 
     p_compare = sub.add_parser("compare", help="cent deviations from equal temperament")
     p_compare.add_argument("name")
     p_compare.add_argument("--N", type=int, default=12, help="equal divisions (default 12)")
-    add_format(p_compare)
     p_compare.set_defaults(handler=_cmd_compare)
 
     p_intervals = sub.add_parser("intervals", help="census of step intervals")
     p_intervals.add_argument("name")
-    add_format(p_intervals)
     p_intervals.set_defaults(handler=_cmd_intervals)
 
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=FORMATS, default="plain")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report = args.handler(args)
+        sys.stdout.write(_render(report, args.format))
+        return report.exit_code
     except RatioOverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError, or a library check on the arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

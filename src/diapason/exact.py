@@ -27,7 +27,6 @@ __all__ = [
     "exact_sqrt",
     "factorize",
     "is_smooth",
-    "make_ratio",
     "parse_ratio",
 ]
 
@@ -159,9 +158,6 @@ class Ratio:
     def __repr__(self) -> str:
         return f"Ratio({self.num}, {self.den})"
 
-    def sort_key(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
 
 ONE = Ratio(1)
 TWO = Ratio(2)
@@ -173,11 +169,6 @@ def _coerce(value: Union[Ratio, int]) -> Ratio:
     if isinstance(value, int):
         return Ratio(value)
     raise TypeError(f"cannot mix Ratio with {type(value).__name__}")
-
-
-def make_ratio(num: int, den: int = 1) -> Ratio:
-    """Canonical Ratio from two positive integers: make_ratio(6, 4) == 3/2."""
-    return Ratio(num, den)
 
 
 def parse_ratio(text: str) -> Ratio:
@@ -274,8 +265,19 @@ def exact_sqrt(r: Ratio) -> Ratio | None:
     9/8 has none: the whole tone cannot be split into two equal
     rational intervals (Zarlino's indivisibility).
     """
-    sn = math.isqrt(r.num)
-    sd = math.isqrt(r.den)
-    if sn * sn == r.num and sd * sd == r.den:
+    return _sqrt_of_parts(r.num, r.den)
+
+
+def _sqrt_of_parts(num: int, den: int) -> Ratio | None:
+    """The rational root of num/den for positive integers, or None.
+
+    The parts may exceed the magnitude limit; only the root must fit it.
+    """
+    g = math.gcd(num, den)
+    num //= g
+    den //= g
+    sn = math.isqrt(num)
+    sd = math.isqrt(den)
+    if sn * sn == num and sd * sd == den:
         return Ratio(sn, sd)
     return None

@@ -28,21 +28,17 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from .exact import FIVE_LIMIT, Ratio, Restriction, is_smooth
 from .means import MeanKind, mean_of_kind
-from .scales import Scale, reduce_to_diapason
+from .scales import Scale
 
 __all__ = [
     "ClosureTrace",
     "Generation",
     "GeneratorConfig",
-    "Restriction",
     "Witness",
     "closure_order_independence",
     "generate_means",
     "mean_closure",
 ]
-
-_ONE = Ratio(1)
-_TWO = Ratio(2)
 
 
 @dataclass(frozen=True)
@@ -51,16 +47,13 @@ class GeneratorConfig:
 
     kinds defaults to arithmetic alone: that single kind under the
     5-limit already reproduces both published natural closures, and
-    admitting harmonic means changes the fixpoint.  The diapason flag
-    folds any out-of-range mean back into [1, 2]; with arithmetic,
-    harmonic or geometric means of in-range tones it can never fire,
-    since all three lie between their arguments.
+    admitting harmonic means changes the fixpoint.  No mean leaves the
+    diapason: all three kinds lie between their arguments.
     """
 
     kinds: frozenset[MeanKind] = frozenset({MeanKind.ARITHMETIC})
     restriction: Restriction = FIVE_LIMIT
     max_generations: int = 64
-    keep_within_diapason: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", frozenset(self.kinds))
@@ -162,8 +155,6 @@ def _admissible_means(
             mean = mean_of_kind(a, b, kind)
             if mean is None:
                 continue  # irrational geometric mean
-            if config.keep_within_diapason and not _ONE <= mean <= _TWO:
-                mean = reduce_to_diapason(mean)
             if not is_smooth(mean, config.restriction):
                 continue
             if mean not in found:

@@ -2,22 +2,18 @@
 
 Arithmetic and harmonic means of positive rationals are rational and
 computed exactly.  The geometric mean usually is not: it comes back as
-an (exact-if-possible, float-always) pair, and every predicate that
-involves it works on squares so no floating point sneaks into an
-exactness decision.
+None then, and every predicate that involves it works on squares so no
+floating point sneaks into an exactness decision.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .exact import Ratio, exact_sqrt
+from .exact import Ratio, _sqrt_of_parts
 
 __all__ = [
-    "GeometricMean",
     "MeanKind",
     "StringModel",
     "duality_check",
@@ -48,15 +44,13 @@ def mean_harmonic(a: Ratio, b: Ratio) -> Ratio:
     return a * b * 2 / (a + b)
 
 
-class GeometricMean(NamedTuple):
-    exact: Ratio | None
-    approx: float
+def mean_geometric(a: Ratio, b: Ratio) -> Ratio | None:
+    """sqrt(a*b) when a*b is a perfect rational square, else None.
 
-
-def mean_geometric(a: Ratio, b: Ratio) -> GeometricMean:
-    """sqrt(a*b): exact Ratio when a*b is a perfect rational square, float always."""
-    product = a * b
-    return GeometricMean(exact_sqrt(product), math.sqrt(float(product)))
+    The product stays in plain integers: it may exceed the 128-bit
+    guard, but the root's parts are no larger than those of a and b.
+    """
+    return _sqrt_of_parts(a.num * b.num, a.den * b.den)
 
 
 def mean_of_kind(a: Ratio, b: Ratio, kind: MeanKind) -> Ratio | None:
@@ -65,7 +59,7 @@ def mean_of_kind(a: Ratio, b: Ratio, kind: MeanKind) -> Ratio | None:
         return mean_arithmetic(a, b)
     if kind is MeanKind.HARMONIC:
         return mean_harmonic(a, b)
-    return mean_geometric(a, b).exact
+    return mean_geometric(a, b)
 
 
 def is_proportion(a: Ratio, m: Ratio, b: Ratio, kind: MeanKind) -> bool:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .exact import Ratio, make_ratio, parse_ratio
+from .exact import Ratio, parse_ratio
 
 __all__ = [
     "CANONICAL_NAMES",
@@ -103,7 +103,7 @@ def scale_from_json_dict(data: dict) -> Scale:
 
 
 def _scale(name: str, pairs: list[tuple[int, int]]) -> Scale:
-    return Scale(name, [make_ratio(n, d) for n, d in pairs])
+    return Scale(name, [Ratio(n, d) for n, d in pairs])
 
 
 _CANONICAL = {

@@ -130,6 +130,14 @@ class TestClosureCommand:
         assert code == EXIT_CAP_HIT
         assert "fixpoint: no" in out
 
+    def test_geometric_closure_past_the_magnitude_guard(self, capsys):
+        code, out, err = run(capsys, "closure", "pythagorean:steps=40", "--primes", "2,3",
+                             "--kinds", "G")
+        assert code == EXIT_OK
+        assert err == ""
+        assert "gen 1" not in out
+        assert "final (44 tones)" in out
+
 
 class TestTableCommand:
     def test_plain_classification(self, capsys):

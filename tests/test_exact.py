@@ -19,7 +19,6 @@ from diapason.exact import (
     exact_sqrt,
     factorize,
     is_smooth,
-    make_ratio,
     parse_ratio,
 )
 
@@ -57,12 +56,6 @@ class TestConstruction:
         r = Ratio(3, 2)
         with pytest.raises(AttributeError):
             r.num = 4  # type: ignore[misc]
-
-    def test_make_ratio(self):
-        assert make_ratio(3) == Ratio(3)
-        assert make_ratio(6, 4) == Ratio(3, 2)
-        with pytest.raises(TypeError):
-            make_ratio("3/2")  # type: ignore[arg-type]
 
 
 class TestParsing:
@@ -121,7 +114,6 @@ class TestArithmetic:
     def test_sorting(self):
         tones = [TWO, ONE, Ratio(3, 2), Ratio(4, 3)]
         assert sorted(tones) == [ONE, Ratio(4, 3), Ratio(3, 2), TWO]
-        assert sorted(tones, key=lambda r: r.sort_key()) == sorted(tones)
 
 
 class TestOverflow:

@@ -16,7 +16,7 @@ from diapason.generator import (
     mean_closure,
 )
 from diapason.means import MeanKind, mean_of_kind
-from diapason.scales import Scale, canonical
+from diapason.scales import Scale, canonical, pythagorean_by_diapente
 
 AH = frozenset({MeanKind.ARITHMETIC, MeanKind.HARMONIC})
 
@@ -27,7 +27,6 @@ class TestConfig:
         assert cfg.kinds == frozenset({MeanKind.ARITHMETIC})
         assert cfg.restriction == FIVE_LIMIT
         assert cfg.max_generations == 64
-        assert cfg.keep_within_diapason
 
     def test_kinds_validated(self):
         with pytest.raises(ValueError):
@@ -171,6 +170,16 @@ class TestOtherSeeds:
         assert Ratio(6, 5) in trace.final
         assert Ratio(8, 5) in trace.final
 
+    def test_geometric_closure_past_the_magnitude_guard(self):
+        # One seed pair's product needs more than 128 bits; every rational
+        # root is already a seed tone, so the seed is its own closure.
+        seed = pythagorean_by_diapente(40)
+        cfg = GeneratorConfig(kinds=frozenset({MeanKind.GEOMETRIC}), restriction=THREE_LIMIT)
+        trace = mean_closure(seed, cfg)
+        assert trace.fixpoint_reached
+        assert trace.generations == ()
+        assert list(trace.final) == list(seed)
+
 
 class TestCap:
     def test_cap_stops_early(self):
@@ -229,13 +238,6 @@ class TestConfluence:
         a = closure_order_independence(canonical("T"), cfg, trials=10, rng_seed=7)
         b = closure_order_independence(canonical("T"), cfg, trials=10, rng_seed=7)
         assert a is True and b is True
-
-
-def test_fold_flag_is_inert_for_scale_input():
-    """Means of tones inside [1,2] already live inside [1,2]."""
-    folded = mean_closure(canonical("T"), GeneratorConfig(keep_within_diapason=True))
-    raw = mean_closure(canonical("T"), GeneratorConfig(keep_within_diapason=False))
-    assert list(folded.final) == list(raw.final)
 
 
 class TestClosureInvariants:
