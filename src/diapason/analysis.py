@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .exact import Ratio, Restriction, factorize, is_smooth
 from .means import MeanKind, mean_of_kind
-from .scales import PitchClass, Scale, cents, equal_temperament, reduce_to_diapason, step_intervals
+from .scales import Scale, cents, equal_temperament, reduce_to_diapason, step_intervals
 
 __all__ = [
     "DiapenteRecipe",
@@ -44,8 +44,8 @@ class TableClass(enum.Enum):
 
 
 class TableCell(NamedTuple):
-    row: PitchClass
-    col: PitchClass
+    row: Ratio
+    col: Ratio
     mean: Ratio
     klass: TableClass
 
@@ -80,7 +80,7 @@ def mean_table(
     return cells
 
 
-def comma_between(a: PitchClass, b: PitchClass) -> Ratio:
+def comma_between(a: Ratio, b: Ratio) -> Ratio:
     """The exact gap between two pitches: larger over smaller."""
     return a / b if a >= b else b / a
 
@@ -138,8 +138,8 @@ def factor_identity(r: Ratio) -> DiapenteRecipe:
 
 
 class Transposition(NamedTuple):
-    tone: PitchClass
-    image: PitchClass
+    tone: Ratio
+    image: Ratio
     in_scale: bool
 
 
@@ -161,7 +161,7 @@ def hexachord_diapente_check(
 
 
 class EqualComparison(NamedTuple):
-    tone: PitchClass
+    tone: Ratio
     degree: int
     deviation_cents: float
 

@@ -8,23 +8,24 @@ plus the final scale.  Batch passes are an implementation choice — the
 one-tone-at-a-time variant provably lands on the same fixpoint, and
 `closure_order_independence` re-derives that on demand.
 
-Passes after the first are semi-naive (Bancilhon & Ramakrishnan, 1986):
-they scan only the pairs that hold at least one tone of the previous
-generation.  The fresh-pair lemma makes that exact.  Pass g-1 scanned
-every pair of the set S it started from and added every admissible mean
-missing from S, so a tone first found in pass g has no witness inside S;
-each of its witnesses holds a tone added in generation g-1.  The fresh
-pairs are still visited in sorted (a, b) order and kinds in sorted
-order, so the witness stored is the same least one a full rescan would
-store, and the generations come out identical for any seed, including
-seed tones outside the prime limit.
+Passes are semi-naive (Bancilhon & Ramakrishnan, 1986): each scans
+only the pairs that hold a fresh tone, where the first pass takes every
+seed tone as fresh and each later pass the previous generation.  The
+fresh-pair lemma makes that exact.  Pass g-1 scanned every pair of the
+set S it started from and added every admissible mean missing from S,
+so a tone first found in pass g has no witness inside S; each of its
+witnesses holds a tone added in generation g-1.  The fresh pairs are
+visited in sorted (a, b) order and kinds in sorted order, so the witness
+stored is the same least one a full rescan would store, and the
+generations come out identical for any seed, including seed tones
+outside the prime limit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .exact import FIVE_LIMIT, Ratio, Restriction, is_smooth
 from .means import MeanKind, mean_of_kind
@@ -119,15 +120,16 @@ class ClosureTrace:
         }
 
 
-def _pairs(ordered: list[Ratio], fresh: AbstractSet[Ratio] | None) -> Iterator[tuple[Ratio, Ratio]]:
-    """The pairs (a, b), a < b, of sorted `ordered`, in lexicographic order.
+def _pairs(ordered: list[Ratio], fresh: AbstractSet[Ratio]) -> Iterator[tuple[Ratio, Ratio]]:
+    """The pairs (a, b), a < b, of sorted `ordered` that hold a tone of
+    `fresh` (a subset of `ordered`), in lexicographic order.
 
-    With `fresh` (a subset of `ordered`), only pairs holding a fresh tone.
+    A full scan passes every tone as fresh.
     """
-    fresh_ordered = ordered if fresh is None else [t for t in ordered if t in fresh]
+    fresh_ordered = [t for t in ordered if t in fresh]
     fresh_seen = 0
     for i, a in enumerate(ordered):
-        if fresh is None or a in fresh:
+        if a in fresh:
             fresh_seen += 1
             partners = ordered[i + 1 :]
         else:
@@ -137,16 +139,16 @@ def _pairs(ordered: list[Ratio], fresh: AbstractSet[Ratio] | None) -> Iterator[t
 
 
 def _admissible_means(
-    tones: Iterable[Ratio],
+    tones: AbstractSet[Ratio],
     config: GeneratorConfig,
-    fresh: AbstractSet[Ratio] | None = None,
+    fresh: AbstractSet[Ratio],
 ) -> dict[Ratio, Witness]:
-    """Every in-limit pairwise mean of `tones`, keyed by value.
+    """Every in-limit mean of the pairs of `tones` that hold a fresh tone,
+    keyed by value.
 
     Pairs are scanned in sorted order and kinds alphabetically, so the
     witness stored for each mean is the lexicographically least one —
-    that is what makes traces reproducible.  Given `fresh`, only pairs
-    holding at least one fresh tone are scanned, in that same order.
+    that is what makes traces reproducible.
     """
     kinds = sorted(config.kinds, key=lambda k: k.value)
     found: dict[Ratio, Witness] = {}
@@ -170,7 +172,8 @@ def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
     """
     if len(tones.tones) < 2:
         raise ValueError("need at least two tones to take means")
-    return set(_admissible_means(tones.tones, config))
+    every = set(tones.tones)
+    return set(_admissible_means(every, config, every))
 
 
 def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> ClosureTrace:
@@ -180,9 +183,9 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     current = set(seed.tones)
     generations: list[Generation] = []
     fixpoint = False
-    new = None  # the first pass scans every pair
+    new = current  # the first pass scans every pair
     for _ in range(config.max_generations):
-        found = _admissible_means(current, config, fresh=new)
+        found = _admissible_means(current, config, new)
         new = set(found) - current
         if not new:
             fixpoint = True
@@ -218,12 +221,12 @@ def closure_order_independence(
     rng = random.Random(rng_seed)
     for _ in range(trials):
         current = set(seed.tones)
-        pending = set(_admissible_means(current, config)) - current
+        pending = set(_admissible_means(current, config, current)) - current
         while pending:
             tone = rng.choice(sorted(pending))
             current.add(tone)
             pending.discard(tone)
-            pending |= set(_admissible_means(current, config, fresh={tone})) - current
+            pending |= set(_admissible_means(current, config, {tone})) - current
         if current != target:
             return False
     return True

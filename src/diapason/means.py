@@ -1,23 +1,20 @@
-"""The three proportional means and the string-length/frequency duality.
+"""The three proportional means.
 
 Arithmetic and harmonic means of positive rationals are rational and
 computed exactly.  The geometric mean usually is not: it comes back as
 None then, and every predicate that involves it works on squares so no
-floating point sneaks into an exactness decision.
+floating point sneaks into an exactness decision.  The string-length/
+frequency duality is the identity 1/H(a, b) = A(1/a, 1/b).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .exact import Ratio, _sqrt_of_parts
 
 __all__ = [
     "MeanKind",
-    "StringModel",
-    "duality_check",
-    "frequency_of_length",
     "is_proportion",
     "mean_arithmetic",
     "mean_geometric",
@@ -67,31 +64,11 @@ def is_proportion(a: Ratio, m: Ratio, b: Ratio, kind: MeanKind) -> bool:
 
     Arithmetic: m - a = b - m.  Harmonic: (m - a)/(b - m) = a/b.  Both
     amount to m being the corresponding mean.  Geometric: a:m = m:b,
-    tested as m*m == a*b so irrational roots never enter.
+    tested as m*m == a*b on plain integers, so irrational roots never
+    enter and the products may exceed the 128-bit guard.
     """
     if kind is MeanKind.GEOMETRIC:
-        return m * m == a * b
+        return m.num**2 * a.den * b.den == a.num * b.num * m.den**2
     expected = mean_of_kind(a, b, kind)
     return expected is not None and m == expected
 
-
-@dataclass(frozen=True)
-class StringModel:
-    """A vibrating string: frequency = kappa / length."""
-
-    kappa: Ratio = Ratio(1)
-
-
-def frequency_of_length(model: StringModel, length: Ratio) -> Ratio:
-    return model.kappa / length
-
-
-def duality_check(model: StringModel, a: Ratio, b: Ratio) -> bool:
-    """Sounding two string lengths: the harmonic-mean length vibrates at
-    the arithmetic mean of their frequencies.  Holds identically; this
-    just evaluates both sides so the identity is executable.
-    """
-    length = mean_harmonic(a, b)
-    lhs = frequency_of_length(model, length)
-    rhs = mean_arithmetic(frequency_of_length(model, a), frequency_of_length(model, b))
-    return lhs == rhs

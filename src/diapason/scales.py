@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .exact import Ratio, parse_ratio
+from .exact import ONE, TWO, Ratio, parse_ratio
 
 __all__ = [
     "CANONICAL_NAMES",
     "EqualTemperament",
-    "PitchClass",
     "Scale",
     "SpiralTone",
     "canonical",
@@ -30,42 +29,39 @@ __all__ = [
     "step_intervals",
 ]
 
-# A pitch class is not a separate wrapper type: any Ratio with
-# 1 <= value <= 2 qualifies, and Scale enforces the bound on intake.
-PitchClass = Ratio
-
-_ONE = Ratio(1)
-_TWO = Ratio(2)
 _DIAPENTE = Ratio(3, 2)
 
 
-def reduce_to_diapason(r: Ratio) -> PitchClass:
+def reduce_to_diapason(r: Ratio) -> Ratio:
     """Fold r into [1, 2) by octave shifts; exactly 2 stays 2.
 
     The closing tone of a scale is a legitimate pitch in its own right,
     so the one value sitting on the upper boundary is preserved rather
     than halved down to the unison.
     """
-    if r == _TWO:
+    if r == TWO:
         return r
-    while r >= _TWO:
+    while r >= TWO:
         r = r / 2
-    while r < _ONE:
+    while r < ONE:
         r = r * 2
     return r
 
 
 @dataclass(frozen=True)
 class Scale:
-    """Named, strictly increasing tones within the closed diapason [1, 2]."""
+    """Named, strictly increasing tones within the closed diapason [1, 2].
+
+    Any Ratio in [1, 2] is a tone; the constructor enforces the bound.
+    """
 
     name: str
-    tones: tuple[PitchClass, ...]
+    tones: tuple[Ratio, ...]
 
-    def __init__(self, name: str, tones: Iterable[PitchClass]) -> None:
+    def __init__(self, name: str, tones: Iterable[Ratio]) -> None:
         tones = tuple(tones)
         for tone in tones:
-            if not (_ONE <= tone <= _TWO):
+            if not (ONE <= tone <= TWO):
                 raise ValueError(f"tone {tone} outside the diapason [1, 2]")
         for left, right in zip(tones, tones[1:]):
             if not left < right:
@@ -87,11 +83,11 @@ class Scale:
 
     def is_anchored(self) -> bool:
         """Starts on the unison."""
-        return bool(self.tones) and self.tones[0] == _ONE
+        return bool(self.tones) and self.tones[0] == ONE
 
     def is_closed(self) -> bool:
         """Ends on the diapason."""
-        return bool(self.tones) and self.tones[-1] == _TWO
+        return bool(self.tones) and self.tones[-1] == TWO
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "tones": [str(t) for t in self.tones]}
@@ -177,7 +173,7 @@ class SpiralTone(NamedTuple):
     """One stop on the spiral of fifths: signed step count and folded tone."""
 
     step: int
-    tone: PitchClass
+    tone: Ratio
 
 
 def fifths_spiral(up: int, down: int) -> list[SpiralTone]:

@@ -1,4 +1,4 @@
-"""The three proportional means and the string/frequency duality."""
+"""The three proportional means and their algebra."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 from diapason.exact import ONE, TWO, Ratio
 from diapason.means import (
     MeanKind,
-    StringModel,
-    duality_check,
-    frequency_of_length,
     is_proportion,
     mean_arithmetic,
     mean_geometric,
@@ -83,6 +80,13 @@ class TestIsProportion:
         # 17/12 is a very good sqrt(2) approximation, but not the thing itself
         assert not is_proportion(ONE, Ratio(17, 12), TWO, MeanKind.GEOMETRIC)
 
+    def test_geometric_beyond_the_guard(self):
+        # the pythagorean:steps=40 seed pair whose product needs more than 128 bits
+        a = Ratio(12157665459056928801, 9223372036854775808)
+        b = Ratio(36472996377170786403, 18446744073709551616)
+        assert not is_proportion(a, a, b, MeanKind.GEOMETRIC)
+        assert is_proportion(Ratio(2**100), Ratio(2**100, 3), Ratio(2**100, 9), MeanKind.GEOMETRIC)
+
 
 class TestAlgebra:
     @given(ratios, ratios)
@@ -116,25 +120,3 @@ class TestAlgebra:
         for m in (mean_arithmetic(a, b), mean_harmonic(a, b)):
             assert lo <= m <= hi
 
-
-class TestStringModel:
-    def test_frequency_is_reciprocal_length(self):
-        model = StringModel()
-        assert frequency_of_length(model, Ratio(3, 2)) == Ratio(2, 3)
-        assert frequency_of_length(model, ONE) == ONE
-
-    def test_kappa_scales(self):
-        model = StringModel(kappa=Ratio(3))
-        assert frequency_of_length(model, Ratio(3, 2)) == TWO
-
-    def test_duality_on_the_octave(self):
-        # harmonic mean of string lengths <-> arithmetic mean of frequencies
-        assert duality_check(StringModel(), ONE, TWO)
-
-    @given(ratios, ratios)
-    def test_duality_always(self, a, b):
-        assert duality_check(StringModel(), a, b)
-
-    @given(ratios, ratios)
-    def test_duality_with_other_kappa(self, a, b):
-        assert duality_check(StringModel(kappa=Ratio(7, 2)), a, b)
