@@ -120,3 +120,29 @@ class TestAlgebra:
         for m in (mean_arithmetic(a, b), mean_harmonic(a, b)):
             assert lo <= m <= hi
 
+
+
+class TestStringModel:
+    """A string of length L sounds frequency kappa / L: lengths and frequencies are dual."""
+
+    def test_frequency_is_reciprocal_length(self):
+        assert Ratio(3, 2).reciprocal() == Ratio(2, 3)
+        assert ONE.reciprocal() == ONE
+
+    def test_kappa_scales(self):
+        assert Ratio(3) / Ratio(3, 2) == TWO
+
+    def test_duality_on_the_octave(self):
+        # harmonic mean of string lengths <-> arithmetic mean of frequencies
+        assert mean_harmonic(ONE, TWO).reciprocal() == Ratio(3, 4)
+        assert mean_arithmetic(ONE, TWO.reciprocal()) == Ratio(3, 4)
+
+    @given(ratios, ratios)
+    def test_duality_always(self, a, b):
+        # and back: harmonic mean of frequencies <-> arithmetic mean of lengths
+        assert mean_harmonic(a.reciprocal(), b.reciprocal()) == mean_arithmetic(a, b).reciprocal()
+
+    @given(ratios, ratios)
+    def test_duality_with_other_kappa(self, a, b):
+        kappa = Ratio(7, 2)
+        assert mean_arithmetic(kappa / a, kappa / b) == kappa / mean_harmonic(a, b)
