@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -312,6 +313,10 @@ def _cmd_intervals(args: argparse.Namespace) -> Report:
     )
 
 
+# Built on the first main() call, not at import, and shared by every
+# later call in the process: nothing changes the tree once it is built,
+# and building it costs more than most reports.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diapason",

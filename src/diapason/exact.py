@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 __all__ = [
@@ -41,6 +41,8 @@ class RatioOverflowError(ArithmeticError):
     """A ratio operation produced a part larger than MAGNITUDE_LIMIT."""
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+
 _PARSE_PATTERN = re.compile(r"\A(\d+)(?:\s*[/:]\s*(\d+))?\Z")
 
 
@@ -53,8 +55,8 @@ class Ratio:
     """
 
     # _hash is filled on the first hash() call: closure passes hash the
-    # same tones many times, and a Fraction per call cost more than the
-    # rest of the membership test.
+    # same tones many times, and the modular inverse a fresh hash needs
+    # costs far more than reading the slot.
     __slots__ = ("num", "den", "_hash")
 
     num: int
@@ -140,10 +142,14 @@ class Ratio:
         return self.num * other.den >= other.num * self.den
 
     def __hash__(self) -> int:
-        # Agree with int/Fraction hashing so 2/1 and 2 collide correctly.
+        # CPython's numeric hash for a positive rational, as Fraction
+        # computes it, so 2/1 and 2 (and Fraction(2, 1)) collide correctly.
         h = self._hash
         if h is None:
-            h = hash(Fraction(self.num, self.den))
+            try:
+                h = hash(hash(self.num) * pow(self.den, -1, _HASH_MODULUS))
+            except ValueError:  # den is a multiple of the modulus: no inverse
+                h = sys.hash_info.inf
             object.__setattr__(self, "_hash", h)
         return h
 

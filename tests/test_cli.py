@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from diapason import cli
 from diapason.cli import EXIT_CAP_HIT, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, main
 
 
@@ -268,3 +272,29 @@ class TestOverflowExit:
     def test_shallow_spiral_fine(self, capsys):
         code, _, _ = run(capsys, "scale", "pythagorean:steps=20")
         assert code == EXIT_OK
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import diapason.cli; "
+            "print(diapason.cli._build_parser.cache_info().currsize)"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert done.stdout == "0\n"
+
+    def test_help_wraps_to_columns_of_each_call(self, capsys, monkeypatch):
+        # The formatter reads the terminal width when it formats, so a
+        # COLUMNS set after the parser was built still counts.
+        monkeypatch.setenv("COLUMNS", "200")
+        _, wide, _ = run(capsys, "--help")
+        monkeypatch.setenv("COLUMNS", "40")
+        _, narrow, _ = run(capsys, "--help")
+        assert wide != narrow
+        assert max(map(len, wide.splitlines())) > 40
+        assert len(narrow.splitlines()) > len(wide.splitlines())

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from diapason.cli import main
+from diapason.cli import EXIT_USAGE, main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
@@ -76,6 +76,20 @@ def test_golden_covers_every_argv(golden):
 @pytest.mark.parametrize("argv", ARGVS)
 def test_cli_output_matches_golden(golden, argv):
     assert run(argv) == golden[argv]
+
+
+# main() shares one parser across calls: no call may leave state behind
+# that changes a later call's bytes.
+
+def test_good_call_after_failed_parse(golden):
+    assert run("closure T --max-generations x")[0] == EXIT_USAGE
+    argv = "closure T --format plain"
+    assert run(argv) == golden[argv]
+
+
+def test_every_argv_in_reverse_order_in_one_process(golden):
+    mismatched = [argv for argv in reversed(ARGVS) if run(argv) != golden[argv]]
+    assert mismatched == []
 
 
 if __name__ == "__main__":

@@ -2,10 +2,14 @@
 
 import fractions
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import diapason
 from diapason.exact import (
     FIVE_LIMIT,
     MAGNITUDE_LIMIT,
@@ -154,6 +158,16 @@ class TestProtocol:
         assert hash(Ratio(3, 2)) == hash(fractions.Fraction(3, 2))
         assert hash(Ratio(2)) == hash(fractions.Fraction(2))
 
+    @given(st.integers(1, MAGNITUDE_LIMIT), st.integers(1, MAGNITUDE_LIMIT))
+    def test_hash_matches_fraction_up_to_the_guard(self, num, den):
+        assert hash(Ratio(num, den)) == hash(fractions.Fraction(num, den))
+
+    @pytest.mark.parametrize("den", [sys.hash_info.modulus, 3 * sys.hash_info.modulus])
+    def test_hash_when_den_has_no_inverse(self, den):
+        # den = 0 mod the hash modulus: Fraction hashes to hash_info.inf
+        for num in (1, 2, sys.hash_info.modulus + 1):
+            assert hash(Ratio(num, den)) == hash(fractions.Fraction(num, den)) == sys.hash_info.inf
+
     def test_cached_hash_is_stable_and_immutable(self):
         r = Ratio(243, 128)
         first = hash(r)
@@ -239,3 +253,16 @@ class TestExactSqrt:
         else:
             # verify there really is no rational root
             assert math.isqrt(r.num) ** 2 != r.num or math.isqrt(r.den) ** 2 != r.den
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # Ratio hashes without a Fraction, so neither module (nor what they
+    # import) is paid for by `import diapason.cli`.
+    src = str(Path(diapason.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import diapason.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "[]\n"
