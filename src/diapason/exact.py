@@ -4,6 +4,12 @@ Everything downstream (scales, means, closures) is built on `Ratio`:
 an immutable, always-reduced fraction of strictly positive integers.
 Alongside it live prime factorization over {2, 3, 5}, smoothness tests
 against a prime limit, and exact rational square roots.
+
+The smoothness test divides instead of factoring: n factors over the
+primes S exactly when n divides rad(S)^bit_length(n), rad(S) being the
+product of S, because no prime exponent of n reaches n's bit length
+(the criterion of batch smoothness detection; Bernstein, "How to find
+smooth parts of integers", 2004).
 """
 
 from __future__ import annotations
@@ -72,9 +78,9 @@ class Ratio:
         den //= g
         if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
             raise RatioOverflowError(f"ratio part exceeds {MAGNITUDE_LIMIT.bit_length() - 1} bits")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Ratio is immutable")
@@ -150,7 +156,7 @@ class Ratio:
                 h = hash(hash(self.num) * pow(self.den, -1, _HASH_MODULUS))
             except ValueError:  # den is a multiple of the modulus: no inverse
                 h = sys.hash_info.inf
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     # -- conversions --------------------------------------------------
@@ -164,6 +170,12 @@ class Ratio:
     def __repr__(self) -> str:
         return f"Ratio({self.num}, {self.den})"
 
+
+# The slots' own setters write past the immutable __setattr__, at less
+# cost per construction than object.__setattr__ and its name lookup.
+_set_num = Ratio.num.__set__
+_set_den = Ratio.den.__set__
+_set_hash = Ratio._hash.__set__
 
 ONE = Ratio(1)
 TWO = Ratio(2)
@@ -208,6 +220,8 @@ class Restriction:
             if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", primes)
+        # Not a field: equality, hashing and repr still see only `primes`.
+        object.__setattr__(self, "_radical", math.prod(primes))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in sorted(self.primes))
@@ -256,13 +270,17 @@ def factorize(r: Ratio) -> Factorization:
 
 
 def is_smooth(r: Ratio, restriction: Restriction) -> bool:
-    """True iff numerator and denominator factor entirely over the allowed primes."""
-    for n in (r.num, r.den):
-        for prime in restriction.primes:
-            _, n = _strip(n, prime)
-        if n != 1:
-            return False
-    return True
+    """True iff numerator and denominator factor entirely over the allowed primes.
+
+    A part n is smooth exactly when it divides rad^k for k = n.bit_length(),
+    rad being the product of the allowed primes.  That k is large enough:
+    a prime p with p^e dividing n has 2^e <= p^e <= n < 2^k, so e < k and
+    p^e divides p^k.  So one modular power per part decides it (n = 1
+    gives rad^1 mod 1 = 0, smooth), with no trial division.
+    """
+    rad = restriction._radical
+    num, den = r.num, r.den
+    return pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0
 
 
 def exact_sqrt(r: Ratio) -> Ratio | None:

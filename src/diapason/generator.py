@@ -19,13 +19,18 @@ visited in sorted (a, b) order and kinds in sorted order, so the witness
 stored is the same least one a full rescan would store, and the
 generations come out identical for any seed, including seed tones
 outside the prime limit.
+
+The pair kernel takes the tones as a sorted list, never a set to sort:
+`mean_closure` sorts once per pass, and the certifier keeps one list
+per trial, inserting each chosen tone with `bisect.insort`.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple, Sequence
 
 from .exact import FIVE_LIMIT, Ratio, Restriction, is_smooth
 from .means import MeanKind, mean_of_kind
@@ -120,7 +125,7 @@ class ClosureTrace:
         }
 
 
-def _pairs(ordered: list[Ratio], fresh: AbstractSet[Ratio]) -> Iterator[tuple[Ratio, Ratio]]:
+def _pairs(ordered: Sequence[Ratio], fresh: AbstractSet[Ratio]) -> Iterator[tuple[Ratio, Ratio]]:
     """The pairs (a, b), a < b, of sorted `ordered` that hold a tone of
     `fresh` (a subset of `ordered`), in lexicographic order.
 
@@ -139,12 +144,12 @@ def _pairs(ordered: list[Ratio], fresh: AbstractSet[Ratio]) -> Iterator[tuple[Ra
 
 
 def _admissible_means(
-    tones: AbstractSet[Ratio],
+    ordered: Sequence[Ratio],
     config: GeneratorConfig,
     fresh: AbstractSet[Ratio],
 ) -> dict[Ratio, Witness]:
-    """Every in-limit mean of the pairs of `tones` that hold a fresh tone,
-    keyed by value.
+    """Every in-limit mean of the pairs of sorted `ordered` that hold a
+    fresh tone, keyed by value.
 
     Pairs are scanned in sorted order and kinds alphabetically, so the
     witness stored for each mean is the lexicographically least one —
@@ -152,7 +157,7 @@ def _admissible_means(
     """
     kinds = sorted(config.kinds, key=lambda k: k.value)
     found: dict[Ratio, Witness] = {}
-    for a, b in _pairs(sorted(tones), fresh):
+    for a, b in _pairs(ordered, fresh):
         for kind in kinds:
             mean = mean_of_kind(a, b, kind)
             if mean is None:
@@ -172,8 +177,7 @@ def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
     """
     if len(tones.tones) < 2:
         raise ValueError("need at least two tones to take means")
-    every = set(tones.tones)
-    return set(_admissible_means(every, config, every))
+    return set(_admissible_means(tones.tones, config, set(tones.tones)))
 
 
 def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> ClosureTrace:
@@ -185,7 +189,7 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     fixpoint = False
     new = current  # the first pass scans every pair
     for _ in range(config.max_generations):
-        found = _admissible_means(current, config, new)
+        found = _admissible_means(sorted(current), config, new)
         new = set(found) - current
         if not new:
             fixpoint = True
@@ -221,12 +225,14 @@ def closure_order_independence(
     rng = random.Random(rng_seed)
     for _ in range(trials):
         current = set(seed.tones)
-        pending = set(_admissible_means(current, config, current)) - current
+        ordered = list(seed.tones)
+        pending = set(_admissible_means(ordered, config, current)) - current
         while pending:
             tone = rng.choice(sorted(pending))
             current.add(tone)
+            insort(ordered, tone)
             pending.discard(tone)
-            pending |= set(_admissible_means(current, config, {tone})) - current
+            pending |= set(_admissible_means(ordered, config, {tone})) - current
         if current != target:
             return False
     return True

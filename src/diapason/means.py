@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 
-from .exact import Ratio, _sqrt_of_parts
+from .exact import TWO, Ratio, _sqrt_of_parts
 
 __all__ = [
     "MeanKind",
@@ -38,7 +38,7 @@ def mean_arithmetic(a: Ratio, b: Ratio) -> Ratio:
 
 def mean_harmonic(a: Ratio, b: Ratio) -> Ratio:
     """2ab / (a + b), exact."""
-    return a * b * 2 / (a + b)
+    return a * b * TWO / (a + b)
 
 
 def mean_geometric(a: Ratio, b: Ratio) -> Ratio | None:

@@ -207,6 +207,15 @@ class TestRestriction:
         r = Restriction(frozenset({2, 3, 5, 7}))
         assert is_smooth(Ratio(7, 6), r)
 
+    def test_stored_radical_is_no_field(self):
+        # The product of the primes rides along for is_smooth, but equality,
+        # hashing and repr see only the primes.
+        r = Restriction({2, 3})
+        assert r == THREE_LIMIT
+        assert hash(r) == hash(THREE_LIMIT)
+        assert repr(r) == "Restriction(primes=frozenset({2, 3}))"
+        assert r != FIVE_LIMIT
+
 
 class TestFactorization:
     def test_five_limit_exponents(self):

@@ -1,0 +1,134 @@
+"""The smoothness test and the mean closure, checked against the
+independent `Fraction` oracle in diapbench/oracle.py.
+
+The oracle imports nothing from `diapason`, so these tests still hold
+when `is_smooth` is wrong; the full-rescan reference closure in
+test_generator.py calls `is_smooth` itself and would agree with it.
+"""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diapason.exact import MAGNITUDE_LIMIT, Ratio, Restriction, is_smooth
+from diapason.generator import GeneratorConfig, mean_closure
+from diapason.means import MeanKind
+from diapason.scales import Scale
+
+_spec = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parent.parent / "diapbench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+MERSENNE_127 = 2**127 - 1  # prime
+
+
+@st.composite
+def prime_products(draw):
+    """Products of primes <= 31 up to the guard: smooth under some sets, not others."""
+    n = 1
+    for p in draw(st.lists(st.sampled_from(PRIMES), max_size=130)):
+        if n * p > MAGNITUDE_LIMIT:
+            break
+        n *= p
+    return n
+
+
+parts = st.one_of(prime_products(), st.integers(1, MAGNITUDE_LIMIT))
+prime_sets = st.sets(st.sampled_from(PRIMES[1:])).map(lambda rest: frozenset({2, *rest}))
+
+
+def _fraction(r: Ratio) -> Fraction:
+    return Fraction(r.num, r.den)
+
+
+def _oracle_smooth(r: Ratio, primes) -> bool:
+    return oracle.smooth(_fraction(r), sorted(primes))
+
+
+class TestSmoothness:
+    @given(parts, parts, prime_sets)
+    def test_matches_the_oracle(self, num, den, primes):
+        r = Ratio(num, den)
+        assert is_smooth(r, Restriction(primes)) is _oracle_smooth(r, primes)
+
+    @pytest.mark.parametrize(
+        "r,primes,smooth",
+        [
+            # A prime exponent one below the part's bit length, the
+            # largest there is: 2^e has e + 1 bits.
+            (Ratio(2**128), {2}, True),
+            (Ratio(1, 2**128), {2}, True),
+            (Ratio(3**80), {2, 3}, True),
+            (Ratio(3**80), {2}, False),
+            (Ratio(2**127, 3), {2, 3}, True),
+            (Ratio(2**127, 3), {2, 5}, False),
+            # 2^127 * 3 is past the guard; 2^126 * 3 is the largest 2^e * 3 within it.
+            (Ratio(2**126 * 3), {2, 3}, True),
+            (Ratio(2**126 * 3), {2, 5}, False),
+            (Ratio(1), {2}, True),
+            # A smooth part times one prime outside the set.
+            (Ratio(7 * 2**20 * 3**10, 5**4), {2, 3, 5}, False),
+            (Ratio(5**4, 7 * 2**20 * 3**10), {2, 3, 5}, False),
+            (Ratio(31 * 2**123), set(PRIMES[:-1]), False),
+            (Ratio(37 * 3**40 * 5**10), set(PRIMES), False),
+            (Ratio(MERSENNE_127), {2, 3}, False),
+            (Ratio(2 * MERSENNE_127, 3), set(PRIMES), False),
+            (Ratio(3, 2 * MERSENNE_127), set(PRIMES), False),
+        ],
+    )
+    def test_exponent_edges_and_one_outside_prime(self, r, primes, smooth):
+        assert is_smooth(r, Restriction(primes)) is smooth
+        assert _oracle_smooth(r, primes) is smooth
+
+
+SEED_POOL = sorted({*oracle.SCALES["SN2"], Fraction(7, 4), Fraction(7, 6), Fraction(8, 7)})
+MAX_GENERATIONS = 6
+
+
+def _as_fractions(value):
+    """Trace JSON with every tone a Fraction: Ratio prints 1/1 where Fraction prints 1."""
+    if isinstance(value, dict):
+        return {k: v if k == "kind" else _as_fractions(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_fractions(v) for v in value]
+    if isinstance(value, str):
+        return Fraction(value)
+    return value
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sets(st.sampled_from(SEED_POOL), min_size=2, max_size=5).map(sorted),
+    st.sampled_from([(2, 3, 5), (2, 3, 5, 7)]),
+    st.sets(st.sampled_from(MeanKind), min_size=1),
+)
+def test_closure_matches_the_oracle(seed, primes, kinds):
+    config = GeneratorConfig(
+        kinds=kinds, restriction=Restriction(primes), max_generations=MAX_GENERATIONS
+    )
+    trace = mean_closure(
+        Scale("seed", [Ratio(t.numerator, t.denominator) for t in seed]), config
+    )
+    letters = "".join(kind.value for kind in kinds)
+    current = set(seed)
+    for generation in trace.generations:
+        found = oracle.admissible(current, primes, letters)
+        added = sorted(set(found) - current)
+        assert [_fraction(t) for t in generation.added] == added
+        assert [
+            (_fraction(w.tone), _fraction(w.a), _fraction(w.b), w.kind.value)
+            for w in generation.witnesses
+        ] == [(t, *found[t]) for t in added]
+        current.update(added)
+    if trace.fixpoint_reached:
+        assert _as_fractions(trace.to_json_dict()) == _as_fractions(
+            oracle.closure(seed, primes, letters)
+        )
+    else:
+        assert len(trace.generations) == MAX_GENERATIONS
