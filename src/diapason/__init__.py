@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for Pythagorean, natural and equal-tempered pitch.
 
-The pieces: `exact` (canonical rationals, factorization, smoothness),
+The pieces: `exact` (canonical rationals, exponent vectors, smoothness),
 `means` (the three proportional means), `scales` (diapason folding,
 canonical scale constants, cycles of fifths, equal temperament),
 `generator` (mean closure to a fixpoint, with trace), `analysis`
@@ -13,4 +13,4 @@ from .scales import *
 from .generator import *
 from .analysis import *
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"

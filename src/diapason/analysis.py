@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exact import Ratio, Restriction, factorize, is_smooth
+from .exact import FIVE_LIMIT, Ratio, Restriction, exponents, is_smooth
 from .means import MeanKind, mean_of_kind
 from .scales import Scale, cents, equal_temperament, reduce_to_diapason, step_intervals
 
@@ -105,10 +105,9 @@ class DiapenteRecipe:
 
     def describe(self) -> str:
         anchor = reduce_to_diapason(Ratio(5) ** self.fives)
-        # Shifting the anchor into the diapason absorbs octaves; keep the
-        # total product intact by moving them into the explicit 2^s term.
-        shift = _exponent_of_two(anchor / Ratio(5) ** self.fives)
-        octaves = self.octaves - shift
+        # The anchor is 2^s * 5^fives: its s octaves leave the explicit
+        # 2^octaves term, so the total product stays intact.
+        octaves = self.octaves - exponents(anchor, FIVE_LIMIT)[0]
         parts = [str(anchor)]
         if self.fifths:
             parts.append(f"{abs(self.fifths)} diapente {'up' if self.fifths > 0 else 'down'}")
@@ -118,23 +117,17 @@ class DiapenteRecipe:
         return f"{self.value} = from {anchor}: {walk}"
 
 
-def _exponent_of_two(r: Ratio) -> int:
-    exp = factorize(r)
-    if exp.exp3 or exp.exp5 or exp.residual != 1:
-        raise ValueError(f"{r} is not a power of two")
-    return exp.exp2
-
-
 def factor_identity(r: Ratio) -> DiapenteRecipe:
     """Express a 5-limit ratio through diapente and diapason moves.
 
     With r = 2^m 3^n 5^p, the rewrite is 5^p (3/2)^n 2^(m+n): each
     factor 3 is traded for a diapente plus an octave.
     """
-    f = factorize(r)
-    if f.residual != 1:
-        raise ValueError(f"{r} is not 5-limit; residual {f.residual}")
-    return DiapenteRecipe(value=r, fives=f.exp5, fifths=f.exp3, octaves=f.exp2 + f.exp3)
+    vector = exponents(r, FIVE_LIMIT)
+    if vector is None:
+        raise ValueError(f"{r} is not 5-limit")
+    twos, threes, fives = vector
+    return DiapenteRecipe(value=r, fives=fives, fifths=threes, octaves=twos + threes)
 
 
 class Transposition(NamedTuple):

@@ -2,8 +2,10 @@
 
 Everything downstream (scales, means, closures) is built on `Ratio`:
 an immutable, always-reduced fraction of strictly positive integers.
-Alongside it live prime factorization over {2, 3, 5}, smoothness tests
-against a prime limit, and exact rational square roots.
+Alongside it live prime limits (`Restriction`), the exponent vector of
+a ratio over a limit, smoothness tests against a limit, and exact
+rational square roots.  A tone in a prime limit is a walk along its
+primes: 45/32 over {2, 3, 5} is the vector (-5, 2, 1).
 
 The smoothness test divides instead of factoring: n factors over the
 primes S exactly when n divides rad(S)^bit_length(n), rad(S) being the
@@ -18,20 +20,19 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 __all__ = [
     "MAGNITUDE_LIMIT",
     "ONE",
     "TWO",
-    "Factorization",
     "Ratio",
     "RatioOverflowError",
     "Restriction",
     "THREE_LIMIT",
     "FIVE_LIMIT",
     "exact_sqrt",
-    "factorize",
+    "exponents",
     "is_smooth",
     "parse_ratio",
 ]
@@ -231,42 +232,26 @@ THREE_LIMIT = Restriction({2, 3})
 FIVE_LIMIT = Restriction({2, 3, 5})
 
 
-class Factorization(NamedTuple):
-    """r = 2^exp2 * 3^exp3 * 5^exp5 * residual, residual coprime to 2, 3, 5."""
+def exponents(r: Ratio, restriction: Restriction) -> tuple[int, ...] | None:
+    """The exponent of each allowed prime in r, smallest prime first.
 
-    exp2: int
-    exp3: int
-    exp5: int
-    residual: Ratio
-
-    def recompose(self) -> Ratio:
-        num, den = self.residual.num, self.residual.den
-        for prime, exp in ((2, self.exp2), (3, self.exp3), (5, self.exp5)):
-            if exp >= 0:
-                num *= prime**exp
-            else:
-                den *= prime**-exp
-        return Ratio(num, den)
-
-
-def _strip(n: int, prime: int) -> tuple[int, int]:
-    """Divide out `prime` completely; return (exponent, remaining cofactor)."""
-    exp = 0
-    while n % prime == 0:
-        n //= prime
-        exp += 1
-    return exp, n
-
-
-def factorize(r: Ratio) -> Factorization:
-    """Exponents of 2, 3, 5 in r (denominator primes count negative)."""
-    exps = []
+    Denominator primes count negative, so 45/32 over FIVE_LIMIT is
+    (-5, 2, 1).  None when r does not factor over those primes.
+    """
     num, den = r.num, r.den
-    for prime in (2, 3, 5):
-        up, num = _strip(num, prime)
-        down, den = _strip(den, prime)
-        exps.append(up - down)  # num and den are coprime, so one of the two is 0
-    return Factorization(exps[0], exps[1], exps[2], Ratio(num, den))
+    vector = []
+    for prime in sorted(restriction.primes):
+        exp = 0
+        while num % prime == 0:
+            num //= prime
+            exp += 1
+        while den % prime == 0:  # num and den are coprime: one loop is idle
+            den //= prime
+            exp -= 1
+        vector.append(exp)
+    if num != 1 or den != 1:
+        return None
+    return tuple(vector)
 
 
 def is_smooth(r: Ratio, restriction: Restriction) -> bool:

@@ -1,9 +1,11 @@
 """Classified mean tables, comma identities, recipes, censuses, ET deviations."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio, Restriction, is_smooth
+from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio, Restriction, is_smooth, parse_ratio
 from diapason.analysis import (
     INTERVAL_NAMES,
     TableClass,
@@ -142,7 +144,7 @@ class TestFactorIdentity:
         assert rec.describe() == "16/15 = from 8/5: 1 diapente down"
 
     def test_rejects_unsmooth(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not 5-limit"):
             factor_identity(Ratio(7, 6))
 
     def test_roundtrip_over_sound_sets(self):
@@ -154,6 +156,22 @@ class TestFactorIdentity:
     def test_roundtrip_random_five_limit(self, a, b, c):
         r = Ratio(2) ** a * Ratio(3) ** b * Ratio(5) ** c
         assert factor_identity(r).recompose() == r
+
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
+    def test_described_walk_rebuilds_the_value(self, a, b, c):
+        r = Ratio(2) ** a * Ratio(3) ** b * Ratio(5) ** c
+        value, start, walk = re.fullmatch(
+            r"(\S+) = from (\S+): (.+)", factor_identity(r).describe()
+        ).groups()
+        assert parse_ratio(value) == r
+        rebuilt = parse_ratio(start)
+        assert ONE <= rebuilt < 2
+        if walk != "stay put":
+            for move in walk.split(", "):
+                count, name, direction = move.split(" ")
+                step = Ratio(3, 2) if name == "diapente" else Ratio(2)
+                rebuilt *= step ** (int(count) if direction == "up" else -int(count))
+        assert rebuilt == r
 
 
 class TestHexachord:

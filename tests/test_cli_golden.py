@@ -13,6 +13,9 @@ wording and wrapping belong to the Python version, not to diapason.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from diapason.cli import EXIT_USAGE, main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FORMATS = ("plain", "json", "csv", "markdown")
 EXACT_SPECS = (
@@ -90,6 +94,16 @@ def test_good_call_after_failed_parse(golden):
 def test_every_argv_in_reverse_order_in_one_process(golden):
     mismatched = [argv for argv in reversed(ARGVS) if run(argv) != golden[argv]]
     assert mismatched == []
+
+
+def test_python_dash_m_runs_the_cli(golden):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "diapason", "closure", "T"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    code, stdout, _ = golden["closure T --format plain"]
+    assert (done.returncode, done.stdout) == (code, stdout)
 
 
 if __name__ == "__main__":

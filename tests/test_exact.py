@@ -1,4 +1,4 @@
-"""Tests for the exact rational layer: Ratio, parsing, factorization, roots."""
+"""Tests for the exact rational layer: Ratio, parsing, exponent vectors, roots."""
 
 import fractions
 import math
@@ -16,12 +16,11 @@ from diapason.exact import (
     ONE,
     THREE_LIMIT,
     TWO,
-    Factorization,
     Ratio,
     RatioOverflowError,
     Restriction,
     exact_sqrt,
-    factorize,
+    exponents,
     is_smooth,
     parse_ratio,
 )
@@ -219,17 +218,19 @@ class TestRestriction:
 
 class TestFactorization:
     def test_five_limit_exponents(self):
-        f = factorize(Ratio(45, 32))
-        assert f == Factorization(exp2=-5, exp3=2, exp5=1, residual=ONE)
+        assert exponents(Ratio(45, 32), FIVE_LIMIT) == (-5, 2, 1)
 
-    def test_residual_captures_leftovers(self):
-        f = factorize(Ratio(7, 6))
-        assert (f.exp2, f.exp3, f.exp5) == (-1, -1, 0)
-        assert f.residual == Ratio(7)
+    def test_outside_prime_leaves_no_vector(self):
+        assert exponents(Ratio(7, 6), FIVE_LIMIT) is None
+        assert exponents(Ratio(7, 6), Restriction({2, 3, 5, 7})) == (-1, -1, 0, 1)
 
-    @given(ratios)
-    def test_recompose_roundtrip(self, r):
-        assert factorize(r).recompose() == r
+    @given(st.lists(st.integers(-8, 8), min_size=4, max_size=4))
+    def test_recompose_roundtrip(self, drawn):
+        primes = (2, 3, 5, 7)
+        r = math.prod((Ratio(p) ** e for p, e in zip(primes, drawn)), start=ONE)
+        vector = exponents(r, Restriction(primes))
+        assert vector == tuple(drawn)
+        assert math.prod((Ratio(p) ** e for p, e in zip(primes, vector)), start=ONE) == r
 
     def test_smoothness(self):
         assert is_smooth(Ratio(45, 32), FIVE_LIMIT)

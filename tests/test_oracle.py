@@ -1,5 +1,5 @@
-"""The smoothness test and the mean closure, checked against the
-independent `Fraction` oracle in diapbench/oracle.py.
+"""The smoothness test, exponent vectors and the mean closure, checked
+against the independent `Fraction` oracle in diapbench/oracle.py.
 
 The oracle imports nothing from `diapason`, so these tests still hold
 when `is_smooth` is wrong; the full-rescan reference closure in
@@ -7,13 +7,14 @@ test_generator.py calls `is_smooth` itself and would agree with it.
 """
 
 import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diapason.exact import MAGNITUDE_LIMIT, Ratio, Restriction, is_smooth
+from diapason.exact import MAGNITUDE_LIMIT, Ratio, Restriction, exponents, is_smooth
 from diapason.generator import GeneratorConfig, mean_closure
 from diapason.means import MeanKind
 from diapason.scales import Scale
@@ -85,6 +86,40 @@ class TestSmoothness:
     def test_exponent_edges_and_one_outside_prime(self, r, primes, smooth):
         assert is_smooth(r, Restriction(primes)) is smooth
         assert _oracle_smooth(r, primes) is smooth
+
+
+class TestExponents:
+    @staticmethod
+    def check(r, primes):
+        vector = exponents(r, Restriction(primes))
+        if not _oracle_smooth(r, primes):
+            assert vector is None
+            return
+        assert len(vector) == len(primes)
+        value = math.prod(
+            (Fraction(p) ** e for p, e in zip(sorted(primes), vector)), start=Fraction(1)
+        )
+        assert value == _fraction(r)
+
+    @given(parts, parts, prime_sets)
+    def test_matches_the_oracle(self, num, den, primes):
+        self.check(Ratio(num, den), primes)
+
+    @pytest.mark.parametrize(
+        "r,primes,vector",
+        [
+            (Ratio(1), set(PRIMES), (0,) * len(PRIMES)),
+            (Ratio(2**128), {2}, (128,)),
+            (Ratio(1, 2**128), {2}, (-128,)),
+            (Ratio(3**80), {2, 3}, (0, 80)),
+            (Ratio(3**80), {2}, None),
+            (Ratio(2**127, 3), {2}, None),
+            (Ratio(2**127, 3), {2, 3}, (127, -1)),
+        ],
+    )
+    def test_edges(self, r, primes, vector):
+        assert exponents(r, Restriction(primes)) == vector
+        self.check(r, primes)
 
 
 SEED_POOL = sorted({*oracle.SCALES["SN2"], Fraction(7, 4), Fraction(7, 6), Fraction(8, 7)})

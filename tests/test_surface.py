@@ -20,13 +20,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "CANONICAL_NAMES", "ClosureTrace", "DiapenteRecipe", "EqualComparison",
-    "EqualTemperament", "FIVE_LIMIT", "Factorization", "Generation",
+    "EqualTemperament", "FIVE_LIMIT", "Generation",
     "GeneratorConfig", "INTERVAL_NAMES", "IntervalCount", "MAGNITUDE_LIMIT",
     "MeanKind", "ONE", "Ratio", "RatioOverflowError", "Restriction", "Scale",
     "SpiralTone", "THREE_LIMIT", "TWO", "TableCell", "TableClass",
     "Transposition", "Witness", "canonical", "cents",
     "closure_order_independence", "comma_between", "compare_to_equal",
-    "equal_temperament", "exact_sqrt", "factor_identity", "factorize",
+    "equal_temperament", "exact_sqrt", "exponents", "factor_identity",
     "fifths_spiral", "generate_means", "hexachord_diapente_check",
     "interval_census", "interval_name", "is_proportion", "is_smooth",
     "mean_arithmetic", "mean_closure", "mean_geometric", "mean_harmonic",
