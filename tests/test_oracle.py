@@ -88,22 +88,22 @@ class TestSmoothness:
         assert _oracle_smooth(r, primes) is smooth
 
 
-class TestExponents:
-    @staticmethod
-    def check(r, primes):
-        vector = exponents(r, Restriction(primes))
-        if not _oracle_smooth(r, primes):
-            assert vector is None
-            return
-        assert len(vector) == len(primes)
-        value = math.prod(
-            (Fraction(p) ** e for p, e in zip(sorted(primes), vector)), start=Fraction(1)
-        )
-        assert value == _fraction(r)
+def _check_exponents(r: Ratio, primes) -> None:
+    vector = exponents(r, Restriction(primes))
+    if not _oracle_smooth(r, primes):
+        assert vector is None
+        return
+    assert len(vector) == len(primes)
+    value = math.prod(
+        (Fraction(p) ** e for p, e in zip(sorted(primes), vector)), start=Fraction(1)
+    )
+    assert value == _fraction(r)
 
+
+class TestExponents:
     @given(parts, parts, prime_sets)
     def test_matches_the_oracle(self, num, den, primes):
-        self.check(Ratio(num, den), primes)
+        _check_exponents(Ratio(num, den), primes)
 
     @pytest.mark.parametrize(
         "r,primes,vector",
@@ -119,7 +119,7 @@ class TestExponents:
     )
     def test_edges(self, r, primes, vector):
         assert exponents(r, Restriction(primes)) == vector
-        self.check(r, primes)
+        _check_exponents(r, primes)
 
 
 SEED_POOL = sorted({*oracle.SCALES["SN2"], Fraction(7, 4), Fraction(7, 6), Fraction(8, 7)})
