@@ -22,10 +22,13 @@ outside the prime limit.
 
 The pair kernel takes the tones as a sorted list, never a set to sort:
 `mean_closure` sorts once per pass.  The certifier needs only the values
-of the means, never a witness, so it skips the kernel after its first
-scan: an insertion adds the in-limit means of the chosen tone with each
-tone already present, in any order, since every mean is symmetric in
-its pair.
+of the means, never a witness, so it never runs the kernel.  It numbers
+the fixpoint's tones by sorted position and computes, once per call, a
+table of the ranks of each pair's in-limit means; its trials then insert
+small integers, and ranks sort as the tones they stand for.  A mean
+missing from the fixpoint means the fixpoint is not closed, and since a
+trial's set only grows, no trial could end on it: the answer is False
+before any trial runs.
 """
 
 from __future__ import annotations
@@ -214,30 +217,46 @@ def closure_order_independence(
     Runs `trials` sequential closures, each inserting one randomly
     chosen admissible mean at a time, and compares every outcome with
     the batch fixpoint.  The batch closure must terminate, otherwise
-    there is nothing to compare against.
+    there is nothing to compare against; `trials` must be >= 0.
 
-    The candidates are kept incrementally: inserting t removes t and
-    adds the in-limit means of t with each tone already present, which
-    leaves exactly the set a full rescan of the grown set would give.
+    Each Ratio mean is computed at most once per call.  The fixpoint's
+    tones are numbered by position, so ranks sort as their tones, and
+    table[i][j] holds the ranks of the in-limit means of tones i and j.
+    If one of those means is missing from the fixpoint, the fixpoint is
+    not closed and no trial can end there, since a trial's set only
+    grows: the answer is False at once.  The trials then run on ranks.
+    Inserting rank r removes it from the candidates and adds table[r][k]
+    for each rank k already present, which leaves exactly the set a full
+    rescan of the grown set would give.  Each draw is made from the
+    sorted candidate tones.  A trial never leaves the fixpoint, so it
+    succeeds when it holds as many tones.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     batch = mean_closure(seed, config)
     if not batch.fixpoint_reached:
         raise ValueError("batch closure hit the generation cap; no fixpoint to certify")
-    target = set(batch.final.tones)
-    restriction = config.restriction
+    tones = batch.final.tones
+    rank = {tone: i for i, tone in enumerate(tones)}
+    table: list[list[tuple[int, ...]]] = [[()] * len(tones) for _ in tones]
+    for i, a in enumerate(tones):
+        for j in range(i + 1, len(tones)):
+            means = {mean_of_kind(a, tones[j], kind) for kind in config.kinds}
+            means = {m for m in means if m is not None and is_smooth(m, config.restriction)}
+            if not means <= rank.keys():
+                return False
+            table[i][j] = table[j][i] = tuple(rank[m] for m in means)
+    seeds = {rank[tone] for tone in seed.tones}
+    first = {m for i in seeds for j in seeds for m in table[i][j]} - seeds
     rng = random.Random(rng_seed)
     for _ in range(trials):
-        current = set(seed.tones)
-        pending = generate_means(seed, config) - current
+        current, pending = set(seeds), set(first)
         while pending:
-            tone = rng.choice(sorted(pending))
-            pending.discard(tone)
-            for other in current:
-                for kind in config.kinds:
-                    mean = mean_of_kind(tone, other, kind)
-                    if mean is not None and is_smooth(mean, restriction) and mean not in current:
-                        pending.add(mean)
-            current.add(tone)
-        if current != target:
+            r = rank[rng.choice([tones[k] for k in sorted(pending)])]
+            pending.discard(r)
+            row = table[r]
+            pending.update(m for k in current for m in row[k] if m not in current)
+            current.add(r)
+        if len(current) != len(tones):
             return False
     return True

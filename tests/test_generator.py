@@ -1,11 +1,14 @@
 """Mean-generator closure: single passes, fixpoints, traces, confluence."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from diapason import generator
 from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio, Restriction, is_smooth
 from diapason.generator import (
     ClosureTrace,
@@ -17,6 +20,7 @@ from diapason.generator import (
 )
 from diapason.means import MeanKind, mean_of_kind
 from diapason.scales import Scale, canonical, pythagorean_by_diapente
+from test_oracle import MAX_GENERATIONS, SEED_POOL
 
 AH = frozenset({MeanKind.ARITHMETIC, MeanKind.HARMONIC})
 
@@ -239,6 +243,37 @@ class TestConfluence:
         b = closure_order_independence(canonical("T"), cfg, trials=10, rng_seed=7)
         assert a is True and b is True
 
+    def test_zero_trials_certify_nothing(self):
+        assert closure_order_independence(canonical("T"), GeneratorConfig(), trials=0) is True
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            closure_order_independence(canonical("T"), GeneratorConfig(), trials=-3)
+
+    @staticmethod
+    def _certify_against(monkeypatch, edit_final):
+        """Certify T against a batch closure whose final scale `edit_final` changed."""
+        real = generator.mean_closure
+
+        def edited_closure(seed, config):
+            trace = real(seed, config)
+            final = Scale(trace.final.name, sorted(edit_final(set(trace.final))))
+            return dataclasses.replace(trace, final=final)
+
+        monkeypatch.setattr(generator, "mean_closure", edited_closure)
+        return closure_order_independence(canonical("T"), GeneratorConfig(), trials=3)
+
+    def test_a_set_that_is_not_closed_fails(self, monkeypatch):
+        # 81/64, the arithmetic mean of 9/8 and 45/32, is left out; every
+        # other tone of SN1 is still reached without it
+        assert self._certify_against(monkeypatch, lambda tones: tones - {Ratio(81, 64)}) is False
+
+    def test_an_unreachable_tone_fails(self, monkeypatch):
+        # 135/128 is 5-limit, and its arithmetic mean with every tone of
+        # SN1 is either in SN1 or outside the limit: the set stays closed,
+        # but no insertion order reaches it
+        assert self._certify_against(monkeypatch, lambda tones: tones | {Ratio(135, 128)}) is False
+
 
 class TestClosureInvariants:
     def test_seed_always_included(self):
@@ -353,6 +388,31 @@ def full_rescan_certify(seed, config, trials, rng_seed):
             current.add(rng.choice(candidates))
 
 
+def _choice_lists(certify):
+    """What `certify()` returns, and the lists it hands to `Random.choice`."""
+    log = []
+    choice = random.Random.choice
+
+    def logging_choice(rng, seq):
+        log.append(list(seq))
+        return choice(rng, seq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random.Random, "choice", logging_choice)
+        result = certify()
+    return result, log
+
+
+def _assert_same_draws(seed, config, trials):
+    certified, incremental = _choice_lists(
+        lambda: closure_order_independence(seed, config, trials, rng_seed=7)
+    )
+    assert certified is True
+    _, full = _choice_lists(lambda: full_rescan_certify(seed, config, trials, rng_seed=7))
+    assert incremental == full
+    return incremental
+
+
 @pytest.mark.parametrize(
     "seed,config,trials",
     [
@@ -363,18 +423,23 @@ def full_rescan_certify(seed, config, trials, rng_seed):
     ],
     ids=["NATURAL-5-A", "T-5-AH", "T-7-A", "T+7/4-5-AGH"],
 )
-def test_certifier_draws_from_the_same_candidates(monkeypatch, seed, config, trials):
-    log = []
-    choice = random.Random.choice
+def test_certifier_draws_from_the_same_candidates(seed, config, trials):
+    assert len(_assert_same_draws(seed, config, trials)) > trials
 
-    def logging_choice(rng, seq):
-        log.append(list(seq))
-        return choice(rng, seq)
 
-    monkeypatch.setattr(random.Random, "choice", logging_choice)
-    assert closure_order_independence(seed, config, trials, rng_seed=7)
-    incremental = list(log)
-    log.clear()
-    full_rescan_certify(seed, config, trials, rng_seed=7)
-    assert incremental == log
-    assert len(log) > trials
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sets(st.sampled_from(SEED_POOL), min_size=2, max_size=5).map(sorted),
+    st.sampled_from([(2, 3, 5), (2, 3, 5, 7)]),
+    st.sets(st.sampled_from(MeanKind), min_size=1),
+    st.integers(1, 3),
+)
+def test_certifier_draws_match_full_rescan_on_any_config(seed, primes, kinds, trials):
+    # seed tones may lie outside the limit (7/4, 7/6, 8/7 under 5); the
+    # cap keeps the cubic full rescan to small fixpoints
+    config = GeneratorConfig(
+        kinds=kinds, restriction=Restriction(primes), max_generations=MAX_GENERATIONS
+    )
+    scale = Scale("seed", [Ratio(t.numerator, t.denominator) for t in seed])
+    assume(mean_closure(scale, config).fixpoint_reached)
+    _assert_same_draws(scale, config, trials)
