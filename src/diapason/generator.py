@@ -20,15 +20,13 @@ stored is the same least one a full rescan would store, and the
 generations come out identical for any seed, including seed tones
 outside the prime limit.
 
-The pair kernel takes the tones as a sorted list, never a set to sort:
-`mean_closure` sorts once per pass.  The certifier needs only the values
-of the means, never a witness, so it never runs the kernel.  It numbers
-the fixpoint's tones by sorted position and computes, once per call, a
-table of the ranks of each pair's in-limit means; its trials then insert
-small integers, and ranks sort as the tones they stand for.  A mean
-missing from the fixpoint means the fixpoint is not closed, and since a
-trial's set only grows, no trial could end on it: the answer is False
-before any trial runs.
+One kernel, `_in_limit_means`, yields each in-limit mean of the pairs
+of a sorted tone list that hold a fresh tone, with its pair and kind.
+It has three callers.  `mean_closure` sorts once per pass and keeps,
+for each mean not yet in the set, the first pair and kind that yield
+it: the least witness.  `generate_means` collects the means of a full
+scan.  `closure_order_independence` needs only values: it fills its
+table of ranks from one full scan of the fixpoint's tones.
 """
 
 from __future__ import annotations
@@ -70,6 +68,9 @@ class GeneratorConfig:
         object.__setattr__(self, "kinds", frozenset(self.kinds))
         if not self.kinds:
             raise ValueError("at least one mean kind is required")
+        for kind in self.kinds:
+            if not isinstance(kind, MeanKind):
+                raise TypeError(f"not a MeanKind: {kind!r}")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
 
@@ -130,12 +131,19 @@ class ClosureTrace:
         }
 
 
-def _pairs(ordered: Sequence[Ratio], fresh: AbstractSet[Ratio]) -> Iterator[tuple[Ratio, Ratio]]:
-    """The pairs (a, b), a < b, of sorted `ordered` that hold a tone of
-    `fresh` (a subset of `ordered`), in lexicographic order.
+def _in_limit_means(
+    ordered: Sequence[Ratio],
+    config: GeneratorConfig,
+    fresh: AbstractSet[Ratio],
+) -> Iterator[tuple[Ratio, Ratio, MeanKind, Ratio]]:
+    """(a, b, kind, mean) for each in-limit mean of the pairs a < b of
+    sorted `ordered` that hold a tone of `fresh` (a subset of `ordered`).
 
-    A full scan passes every tone as fresh.
+    Pairs come in lexicographic order and kinds alphabetically, so the
+    first pair and kind to yield a mean are its least witness.  A full
+    scan passes every tone as fresh.
     """
+    kinds = sorted(config.kinds, key=lambda k: k.value)
     fresh_ordered = [t for t in ordered if t in fresh]
     fresh_seen = 0
     for i, a in enumerate(ordered):
@@ -145,33 +153,10 @@ def _pairs(ordered: Sequence[Ratio], fresh: AbstractSet[Ratio]) -> Iterator[tupl
         else:
             partners = fresh_ordered[fresh_seen:]  # the fresh tones above a
         for b in partners:
-            yield a, b
-
-
-def _admissible_means(
-    ordered: Sequence[Ratio],
-    config: GeneratorConfig,
-    fresh: AbstractSet[Ratio],
-) -> dict[Ratio, Witness]:
-    """Every in-limit mean of the pairs of sorted `ordered` that hold a
-    fresh tone, keyed by value.
-
-    Pairs are scanned in sorted order and kinds alphabetically, so the
-    witness stored for each mean is the lexicographically least one —
-    that is what makes traces reproducible.
-    """
-    kinds = sorted(config.kinds, key=lambda k: k.value)
-    found: dict[Ratio, Witness] = {}
-    for a, b in _pairs(ordered, fresh):
-        for kind in kinds:
-            mean = mean_of_kind(a, b, kind)
-            if mean is None:
-                continue  # irrational geometric mean
-            if not is_smooth(mean, config.restriction):
-                continue
-            if mean not in found:
-                found[mean] = Witness(mean, a, b, kind)
-    return found
+            for kind in kinds:
+                mean = mean_of_kind(a, b, kind)  # None: an irrational geometric mean
+                if mean is not None and is_smooth(mean, config.restriction):
+                    yield a, b, kind, mean
 
 
 def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
@@ -182,7 +167,7 @@ def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
     """
     if len(tones.tones) < 2:
         raise ValueError("need at least two tones to take means")
-    return set(_admissible_means(tones.tones, config, set(tones.tones)))
+    return {mean for *_, mean in _in_limit_means(tones.tones, config, set(tones.tones))}
 
 
 def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> ClosureTrace:
@@ -192,16 +177,19 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     current = set(seed.tones)
     generations: list[Generation] = []
     fixpoint = False
-    new = current  # the first pass scans every pair
+    fresh: AbstractSet[Ratio] = current  # the first pass scans every pair
     for _ in range(config.max_generations):
-        found = _admissible_means(sorted(current), config, new)
-        new = set(found) - current
-        if not new:
+        found: dict[Ratio, Witness] = {}
+        for a, b, kind, mean in _in_limit_means(sorted(current), config, fresh):
+            if mean not in current and mean not in found:
+                found[mean] = Witness(mean, a, b, kind)
+        if not found:
             fixpoint = True
             break
-        added = tuple(sorted(new))
+        added = tuple(sorted(found))
         generations.append(Generation(added, tuple(found[t] for t in added)))
-        current |= new
+        current.update(added)
+        fresh = found.keys()
     final = Scale(f"{seed.name}-closure", sorted(current))
     return ClosureTrace(seed, tuple(generations), fixpoint, final)
 
@@ -221,10 +209,11 @@ def closure_order_independence(
 
     Each Ratio mean is computed at most once per call.  The fixpoint's
     tones are numbered by position, so ranks sort as their tones, and
-    table[i][j] holds the ranks of the in-limit means of tones i and j.
-    If one of those means is missing from the fixpoint, the fixpoint is
-    not closed and no trial can end there, since a trial's set only
-    grows: the answer is False at once.  The trials then run on ranks.
+    one full scan of the pair kernel fills table[i][j] with the ranks of
+    the in-limit means of tones i and j.  On the first mean missing from
+    the fixpoint the answer is False at once: the fixpoint is not closed,
+    and no trial can end there, since a trial's set only grows.  The
+    trials then run on ranks.
     Inserting rank r removes it from the candidates and adds table[r][k]
     for each rank k already present, which leaves exactly the set a full
     rescan of the grown set would give.  Each draw is made from the
@@ -239,13 +228,11 @@ def closure_order_independence(
     tones = batch.final.tones
     rank = {tone: i for i, tone in enumerate(tones)}
     table: list[list[tuple[int, ...]]] = [[()] * len(tones) for _ in tones]
-    for i, a in enumerate(tones):
-        for j in range(i + 1, len(tones)):
-            means = {mean_of_kind(a, tones[j], kind) for kind in config.kinds}
-            means = {m for m in means if m is not None and is_smooth(m, config.restriction)}
-            if not means <= rank.keys():
-                return False
-            table[i][j] = table[j][i] = tuple(rank[m] for m in means)
+    for a, b, _, mean in _in_limit_means(tones, config, rank.keys()):
+        if mean not in rank:
+            return False
+        i, j = rank[a], rank[b]
+        table[i][j] = table[j][i] = table[i][j] + (rank[mean],)
     seeds = {rank[tone] for tone in seed.tones}
     first = {m for i in seeds for j in seeds for m in table[i][j]} - seeds
     rng = random.Random(rng_seed)

@@ -56,7 +56,9 @@ def mean_of_kind(a: Ratio, b: Ratio, kind: MeanKind) -> Ratio | None:
         return mean_arithmetic(a, b)
     if kind is MeanKind.HARMONIC:
         return mean_harmonic(a, b)
-    return mean_geometric(a, b)
+    if kind is MeanKind.GEOMETRIC:
+        return mean_geometric(a, b)
+    raise TypeError(f"not a MeanKind: {kind!r}")
 
 
 def is_proportion(a: Ratio, m: Ratio, b: Ratio, kind: MeanKind) -> bool:

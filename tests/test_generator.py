@@ -44,6 +44,13 @@ class TestConfig:
         cfg = GeneratorConfig(kinds={MeanKind.HARMONIC})
         assert isinstance(cfg.kinds, frozenset)
 
+    def test_kinds_must_be_mean_kinds(self):
+        # a string is not converted: "AH" would be the kinds 'A' and 'H'
+        with pytest.raises(TypeError, match="'[AH]'"):
+            GeneratorConfig(kinds="AH")
+        with pytest.raises(TypeError, match="'G'"):
+            GeneratorConfig(kinds={MeanKind.ARITHMETIC, "G"})
+
 
 class TestGenerateMeans:
     def test_tavoletta_single_pass(self):
@@ -374,6 +381,52 @@ class TestSemiNaiveMatchesFullRescan:
             fresh = set(previous.added)
             for w in generation.witnesses:
                 assert w.a in fresh or w.b in fresh
+
+
+def _mean_calls(run):
+    """What `run()` returns, and how many means it had the generator compute."""
+    calls = 0
+
+    def counting_mean_of_kind(a, b, kind):
+        nonlocal calls
+        calls += 1
+        return mean_of_kind(a, b, kind)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "mean_of_kind", counting_mean_of_kind)
+        result = run()
+    return result, calls
+
+
+def _pair_means(n, config):
+    """C(n, 2) pairs, each with one mean per kind."""
+    return n * (n - 1) // 2 * len(config.kinds)
+
+
+class TestEachPairOnce:
+    """The semi-naive scan computes each pair's means exactly once: a
+    closure that went back to full rescans keeps its traces, not its cost."""
+
+    @pytest.mark.parametrize("name,primes,kinds", _GRID)
+    def test_closure(self, name, primes, kinds):
+        config = _grid_config(primes, kinds)
+        trace, calls = _mean_calls(lambda: mean_closure(canonical(name), config))
+        assert trace.fixpoint_reached
+        assert calls == _pair_means(len(trace.final), config)
+
+    @pytest.mark.parametrize(
+        "name,primes,kinds",
+        [("NATURAL", (2, 3, 5), "A"), ("T", (2, 3, 5), "AH"), ("T", (2, 3, 5, 7), "A")],
+        ids=["NATURAL-5-A", "T-5-AH", "T-7-A"],
+    )
+    def test_certifier(self, name, primes, kinds):
+        # once in the batch closure, once for the table; the trials compute none
+        config = _grid_config(primes, kinds)
+        certified, calls = _mean_calls(
+            lambda: closure_order_independence(canonical(name), config, trials=5)
+        )
+        assert certified is True
+        assert calls == 2 * _pair_means(len(mean_closure(canonical(name), config).final), config)
 
 
 def full_rescan_certify(seed, config, trials, rng_seed):

@@ -65,6 +65,14 @@ class TestDispatch:
         assert mean_of_kind(ONE, TWO, MeanKind.GEOMETRIC) is None
         assert mean_of_kind(ONE, Ratio(9, 4), MeanKind.GEOMETRIC) == Ratio(3, 2)
 
+    def test_kind_must_be_a_mean_kind(self):
+        # a string is no MeanKind and must not be taken for the geometric
+        # mean: that is 2 for 1 and 4, where the arithmetic mean is 5/2
+        with pytest.raises(TypeError, match="'A'"):
+            mean_of_kind(ONE, Ratio(4), "A")
+        with pytest.raises(TypeError, match="'A'"):
+            is_proportion(ONE, TWO, Ratio(4), "A")
+
 
 class TestIsProportion:
     def test_arithmetic(self):
