@@ -30,7 +30,6 @@ __all__ = [
     "factor_identity",
     "hexachord_diapente_check",
     "interval_census",
-    "interval_name",
     "mean_table",
 ]
 
@@ -203,10 +202,6 @@ def _names() -> dict[Ratio, str]:
 INTERVAL_NAMES = _names()
 
 
-def interval_name(r: Ratio) -> str | None:
-    return INTERVAL_NAMES.get(r)
-
-
 class IntervalCount(NamedTuple):
     ratio: Ratio
     label: str | None
@@ -219,6 +214,6 @@ def interval_census(scale: Scale) -> list[IntervalCount]:
     for step in step_intervals(scale):
         counts[step] = counts.get(step, 0) + 1
     return [
-        IntervalCount(ratio, interval_name(ratio), counts[ratio])
+        IntervalCount(ratio, INTERVAL_NAMES.get(ratio), counts[ratio])
         for ratio in sorted(counts)
     ]

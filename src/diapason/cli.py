@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .analysis import TableClass, compare_to_equal, interval_census, interval_name, mean_table
+from .analysis import INTERVAL_NAMES, TableClass, compare_to_equal, interval_census, mean_table
 from .exact import Ratio, RatioOverflowError, Restriction
 from .generator import GeneratorConfig, Witness, mean_closure
 from .means import MeanKind
@@ -145,7 +145,7 @@ def _scale_report(scale: Scale) -> Report:
 
     def md_rows() -> list[list[str]]:
         # The top tone has no step up.
-        labelled = [(str(step), interval_name(step) or "") for step in steps()] + [("", "")]
+        labelled = [(str(step), INTERVAL_NAMES.get(step) or "") for step in steps()] + [("", "")]
         return [[str(t), f"{cents(t):.3f}", *step] for t, step in zip(scale.tones, labelled)]
 
     def plain() -> Iterator[str]:
@@ -156,7 +156,7 @@ def _scale_report(scale: Scale) -> Report:
         if intervals:
             yield "steps:"
             for step in intervals:
-                label = interval_name(step)
+                label = INTERVAL_NAMES.get(step)
                 yield f"  {step}" + (f"  {_parenthesized(label)}" if label else "")
 
     return Report(

@@ -2,10 +2,12 @@
 
 Everything downstream (scales, means, closures) is built on `Ratio`:
 an immutable, always-reduced fraction of strictly positive integers.
-Alongside it live prime limits (`Restriction`), the exponent vector of
-a ratio over a limit, smoothness tests against a limit, and exact
-rational square roots.  A tone in a prime limit is a walk along its
-primes: 45/32 over {2, 3, 5} is the vector (-5, 2, 1).
+Every object of the domain is a ratio between sounds, so a Ratio
+combines only with other Ratios.  Alongside it live prime limits
+(`Restriction`), the exponent vector of a ratio over a limit,
+smoothness tests against a limit, and exact rational square roots.
+A tone in a prime limit is a walk along its primes: 45/32 over
+{2, 3, 5} is the vector (-5, 2, 1).
 
 The smoothness test divides instead of factoring: n factors over the
 primes S exactly when n divides rad(S)^bit_length(n), rad(S) being the
@@ -18,9 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
-from typing import Union
 
 __all__ = [
     "MAGNITUDE_LIMIT",
@@ -48,23 +48,21 @@ class RatioOverflowError(ArithmeticError):
     """A ratio operation produced a part larger than MAGNITUDE_LIMIT."""
 
 
-_HASH_MODULUS = sys.hash_info.modulus
-
 _PARSE_PATTERN = re.compile(r"\A(\d+)(?:\s*[/:]\s*(\d+))?\Z")
 
 
 class Ratio:
     """Canonical positive fraction: gcd(num, den) = 1, both parts >= 1.
 
-    Supports *, /, +, integer **, total ordering and hashing consistent
-    with the rational value.  Subtraction is deliberately absent — the
-    domain has no zero or negative pitches, and nothing here needs it.
+    Supports *, /, + and total ordering between Ratios, and integer **.
+    A Ratio combines only with other Ratios: an int, float or Fraction
+    operand raises TypeError, and Ratio(2) != 2.  It hashes by its
+    parts, which are always reduced, so equal Ratios hash equal.
+    Subtraction is deliberately absent — the domain has no zero or
+    negative pitches, and nothing here needs it.
     """
 
-    # _hash is filled on the first hash() call: closure passes hash the
-    # same tones many times, and the modular inverse a fresh hash needs
-    # costs far more than reading the slot.
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     num: int
     den: int
@@ -81,33 +79,28 @@ class Ratio:
             raise RatioOverflowError(f"ratio part exceeds {MAGNITUDE_LIMIT.bit_length() - 1} bits")
         _set_num(self, num)
         _set_den(self, den)
-        _set_hash(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Ratio is immutable")
 
     # -- arithmetic ---------------------------------------------------
 
-    def __mul__(self, other: Union["Ratio", int]) -> "Ratio":
-        other = _coerce(other)
+    def __mul__(self, other: Ratio) -> Ratio:
+        if not isinstance(other, Ratio):
+            return NotImplemented
         return Ratio(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Ratio", int]) -> "Ratio":
-        other = _coerce(other)
+    def __truediv__(self, other: Ratio) -> Ratio:
+        if not isinstance(other, Ratio):
+            return NotImplemented
         return Ratio(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other: Union["Ratio", int]) -> "Ratio":
-        return _coerce(other) / self
-
-    def __add__(self, other: Union["Ratio", int]) -> "Ratio":
-        other = _coerce(other)
+    def __add__(self, other: Ratio) -> Ratio:
+        if not isinstance(other, Ratio):
+            return NotImplemented
         return Ratio(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
-    def __pow__(self, exponent: int) -> "Ratio":
+    def __pow__(self, exponent: int) -> Ratio:
         if not isinstance(exponent, int):
             raise TypeError("only integer exponents keep a Ratio exact")
         # Reject guaranteed overflows before materializing a huge integer:
@@ -120,45 +113,30 @@ class Ratio:
             return Ratio(self.num**exponent, self.den**exponent)
         return Ratio(self.den**-exponent, self.num**-exponent)
 
-    def reciprocal(self) -> "Ratio":
+    def reciprocal(self) -> Ratio:
         return Ratio(self.den, self.num)
 
     # -- comparisons --------------------------------------------------
+    # Between two Ratios Python evaluates a > b as b < a and a >= b as
+    # b <= a, so > and >= need no methods of their own.
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Ratio):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.den == 1 and self.num == other
-        return NotImplemented
+        if not isinstance(other, Ratio):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
-    def __lt__(self, other: Union["Ratio", int]) -> bool:
-        other = _coerce(other)
+    def __lt__(self, other: Ratio) -> bool:
+        if not isinstance(other, Ratio):
+            return NotImplemented
         return self.num * other.den < other.num * self.den
 
-    def __le__(self, other: Union["Ratio", int]) -> bool:
-        other = _coerce(other)
+    def __le__(self, other: Ratio) -> bool:
+        if not isinstance(other, Ratio):
+            return NotImplemented
         return self.num * other.den <= other.num * self.den
 
-    def __gt__(self, other: Union["Ratio", int]) -> bool:
-        other = _coerce(other)
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other: Union["Ratio", int]) -> bool:
-        other = _coerce(other)
-        return self.num * other.den >= other.num * self.den
-
     def __hash__(self) -> int:
-        # CPython's numeric hash for a positive rational, as Fraction
-        # computes it, so 2/1 and 2 (and Fraction(2, 1)) collide correctly.
-        h = self._hash
-        if h is None:
-            try:
-                h = hash(hash(self.num) * pow(self.den, -1, _HASH_MODULUS))
-            except ValueError:  # den is a multiple of the modulus: no inverse
-                h = sys.hash_info.inf
-            _set_hash(self, h)
-        return h
+        return hash((self.num, self.den))
 
     # -- conversions --------------------------------------------------
 
@@ -176,18 +154,9 @@ class Ratio:
 # cost per construction than object.__setattr__ and its name lookup.
 _set_num = Ratio.num.__set__
 _set_den = Ratio.den.__set__
-_set_hash = Ratio._hash.__set__
 
 ONE = Ratio(1)
 TWO = Ratio(2)
-
-
-def _coerce(value: Union[Ratio, int]) -> Ratio:
-    if isinstance(value, Ratio):
-        return value
-    if isinstance(value, int):
-        return Ratio(value)
-    raise TypeError(f"cannot mix Ratio with {type(value).__name__}")
 
 
 def parse_ratio(text: str) -> Ratio:

@@ -71,6 +71,10 @@ class GeneratorConfig:
         for kind in self.kinds:
             if not isinstance(kind, MeanKind):
                 raise TypeError(f"not a MeanKind: {kind!r}")
+        if not isinstance(self.restriction, Restriction):
+            raise TypeError(f"not a Restriction: {self.restriction!r}")
+        if not isinstance(self.max_generations, int) or isinstance(self.max_generations, bool):
+            raise TypeError(f"max_generations must be an int, got {self.max_generations!r}")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
 

@@ -42,9 +42,9 @@ def reduce_to_diapason(r: Ratio) -> Ratio:
     if r == TWO:
         return r
     while r >= TWO:
-        r = r / 2
+        r = r / TWO
     while r < ONE:
-        r = r * 2
+        r = r * TWO
     return r
 
 

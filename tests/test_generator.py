@@ -51,6 +51,17 @@ class TestConfig:
         with pytest.raises(TypeError, match="'G'"):
             GeneratorConfig(kinds={MeanKind.ARITHMETIC, "G"})
 
+    def test_restriction_must_be_a_restriction(self):
+        # a tuple of primes is not converted
+        with pytest.raises(TypeError, match=r"\(2, 3, 5\)"):
+            GeneratorConfig(restriction=(2, 3, 5))
+
+    @pytest.mark.parametrize("cap", [True, 2.5, "3"])
+    def test_cap_must_be_an_int(self, cap):
+        # True is no cap of 1; 2.5 and "3" are no counts at all
+        with pytest.raises(TypeError, match="max_generations"):
+            GeneratorConfig(max_generations=cap)
+
 
 class TestGenerateMeans:
     def test_tavoletta_single_pass(self):

@@ -28,7 +28,7 @@ PUBLIC = [
     "closure_order_independence", "comma_between", "compare_to_equal",
     "equal_temperament", "exact_sqrt", "exponents", "factor_identity",
     "fifths_spiral", "generate_means", "hexachord_diapente_check",
-    "interval_census", "interval_name", "is_proportion", "is_smooth",
+    "interval_census", "is_proportion", "is_smooth",
     "mean_arithmetic", "mean_closure", "mean_geometric", "mean_harmonic",
     "mean_of_kind", "mean_table", "parse_ratio", "pythagorean_by_diapente",
     "reduce_to_diapason", "scale_from_json_dict", "step_intervals",
