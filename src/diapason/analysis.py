@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .exact import FIVE_LIMIT, Ratio, Restriction, exponents, is_smooth
 from .means import MeanKind, mean_of_kind
-from .scales import Scale, cents, equal_temperament, reduce_to_diapason, step_intervals
+from .scales import Scale, cents, reduce_to_diapason, step_intervals
 
 __all__ = [
     "DiapenteRecipe",
@@ -162,20 +162,21 @@ def compare_to_equal(scale: Scale, N: int) -> list[EqualComparison]:
     """Nearest equal-tempered degree for each tone, with signed cent offset.
 
     Degrees are 1-based over N divisions (degree N+1 is the diapason);
-    ties go to the lower degree.
+    ties go to the lower degree.  Only the degrees next to
+    tone_cents // step can be nearest, so the cost does not grow with N.
     """
     if N < 1:
         raise ValueError("need at least one division")
-    temperament = equal_temperament(N)
     step = 1200.0 / N
     result = []
     for tone in scale.tones:
         tone_cents = cents(tone)
+        below = int(tone_cents // step)  # rounding may shift it by one
         degree = min(
-            range(1, N + 2),
+            {min(max(k, 1), N + 1) for k in range(below, below + 4)},
             key=lambda k: (abs(tone_cents - step * (k - 1)), k),
         )
-        deviation = tone_cents - cents(temperament.degrees[degree - 1])
+        deviation = tone_cents - cents(2.0 ** ((degree - 1) / N))
         result.append(EqualComparison(tone, degree, deviation))
     return result
 

@@ -6,7 +6,7 @@ fixpoint) or a generation cap intervenes.  The whole run is recorded as
 a ClosureTrace: per-generation additions, each with one witnessing pair,
 plus the final scale.  Batch passes are an implementation choice — the
 one-tone-at-a-time variant provably lands on the same fixpoint, and
-`closure_order_independence` re-derives that on demand.
+`closure_order_independence` checks the two conditions of that proof.
 
 Passes are semi-naive (Bancilhon & Ramakrishnan, 1986): each scans
 only the pairs that hold a fresh tone, where the first pass takes every
@@ -31,7 +31,6 @@ table of ranks from one full scan of the fixpoint's tones.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator, NamedTuple, Sequence
 
@@ -206,23 +205,20 @@ def closure_order_independence(
 ) -> bool:
     """Certify that insertion order cannot change the fixpoint.
 
-    Runs `trials` sequential closures, each inserting one randomly
-    chosen admissible mean at a time, and compares every outcome with
-    the batch fixpoint.  The batch closure must terminate, otherwise
-    there is nothing to compare against; `trials` must be >= 0.
+    Let L be the least set that holds the seed tones and is closed under
+    in-limit means.  A closure that inserts one mean at a time inserts
+    only means of tones it holds, so it never leaves L; it stops only
+    when its set is closed, so it stops exactly at L.  Every insertion
+    order thus ends on L, and the batch fixpoint is certified when it is
+    closed and one insertion pass from the seed reaches all of it.  The
+    batch closure must terminate; `trials` must be >= 0, and 0 checks
+    closedness alone.  `rng_seed` does not affect the answer.
 
-    Each Ratio mean is computed at most once per call.  The fixpoint's
-    tones are numbered by position, so ranks sort as their tones, and
-    one full scan of the pair kernel fills table[i][j] with the ranks of
-    the in-limit means of tones i and j.  On the first mean missing from
-    the fixpoint the answer is False at once: the fixpoint is not closed,
-    and no trial can end there, since a trial's set only grows.  The
-    trials then run on ranks.
-    Inserting rank r removes it from the candidates and adds table[r][k]
-    for each rank k already present, which leaves exactly the set a full
-    rescan of the grown set would give.  Each draw is made from the
-    sorted candidate tones.  A trial never leaves the fixpoint, so it
-    succeeds when it holds as many tones.
+    Each Ratio mean is computed at most once per call: one full scan of
+    the pair kernel fills table[i][j] with the ranks of the in-limit
+    means of the fixpoint's tones i and j, and the first mean missing
+    from the fixpoint returns False at once.  The pass runs on ranks:
+    inserting rank r adds table[r][k] for each rank k already reached.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -237,17 +233,11 @@ def closure_order_independence(
             return False
         i, j = rank[a], rank[b]
         table[i][j] = table[j][i] = table[i][j] + (rank[mean],)
-    seeds = {rank[tone] for tone in seed.tones}
-    first = {m for i in seeds for j in seeds for m in table[i][j]} - seeds
-    rng = random.Random(rng_seed)
-    for _ in range(trials):
-        current, pending = set(seeds), set(first)
-        while pending:
-            r = rank[rng.choice([tones[k] for k in sorted(pending)])]
-            pending.discard(r)
-            row = table[r]
-            pending.update(m for k in current for m in row[k] if m not in current)
-            current.add(r)
-        if len(current) != len(tones):
-            return False
-    return True
+    reached: set[int] = set()
+    pending = {rank[tone] for tone in seed.tones}
+    while pending:
+        r = pending.pop()
+        row = table[r]
+        pending.update(m for k in reached for m in row[k] if m not in reached)
+        reached.add(r)
+    return trials == 0 or len(reached) == len(tones)

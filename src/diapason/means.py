@@ -64,13 +64,11 @@ def mean_of_kind(a: Ratio, b: Ratio, kind: MeanKind) -> Ratio | None:
 def is_proportion(a: Ratio, m: Ratio, b: Ratio, kind: MeanKind) -> bool:
     """Does m sit between a and b in the given proportion, exactly?
 
-    Arithmetic: m - a = b - m.  Harmonic: (m - a)/(b - m) = a/b.  Both
-    amount to m being the corresponding mean.  Geometric: a:m = m:b,
-    tested as m*m == a*b on plain integers, so irrational roots never
-    enter and the products may exceed the 128-bit guard.
+    Arithmetic: m - a = b - m.  Harmonic: (m - a)/(b - m) = a/b.
+    Geometric: a:m = m:b.  Each amounts to m being the mean of that
+    kind; the geometric mean takes its root of the plain-integer
+    product, so irrational roots never match and a product beyond the
+    128-bit guard does not overflow.
     """
-    if kind is MeanKind.GEOMETRIC:
-        return m.num**2 * a.den * b.den == a.num * b.num * m.den**2
     expected = mean_of_kind(a, b, kind)
     return expected is not None and m == expected
-

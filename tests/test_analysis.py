@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, TWO, Ratio, Restriction, is_smooth, parse_ratio
 from diapason.analysis import (
@@ -18,7 +18,7 @@ from diapason.analysis import (
 )
 from diapason.generator import GeneratorConfig, mean_closure
 from diapason.means import MeanKind
-from diapason.scales import canonical
+from diapason.scales import Scale, canonical, cents, equal_temperament
 
 
 class TestMeanTable:
@@ -222,6 +222,31 @@ class TestCompareToEqual:
         rows = compare_to_equal(canonical("T"), 31)
         assert rows[0].degree == 1 and rows[0].deviation_cents == 0.0
         assert rows[-1].degree == 32
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(
+            st.integers(1, 2**20).flatmap(lambda d: st.builds(Ratio, st.integers(d, 2 * d), st.just(d))),
+            min_size=1, max_size=8,
+        ),
+        st.integers(1, 2000),
+    )
+    def test_same_as_scanning_every_degree(self, tones, N):
+        scale = Scale("drawn", sorted(tones | {ONE, TWO}))
+        expected = brute_force_compare(scale, N)
+        assert [(r.tone, r.degree, r.deviation_cents) for r in compare_to_equal(scale, N)] == expected
+
+
+def brute_force_compare(scale, N):
+    """Reference: build the temperament and scan all N+1 degrees per tone."""
+    temperament = equal_temperament(N)
+    step = 1200.0 / N
+    rows = []
+    for tone in scale.tones:
+        tone_cents = cents(tone)
+        degree = min(range(1, N + 2), key=lambda k: (abs(tone_cents - step * (k - 1)), k))
+        rows.append((tone, degree, tone_cents - cents(temperament.degrees[degree - 1])))
+    return rows
 
 
 class TestIntervalNames:

@@ -193,6 +193,13 @@ class TestCompareCommand:
         code, out, _ = run(capsys, "compare", "PYTHAGOREAN", "--N", "31")
         assert code == EXIT_OK
 
+    def test_a_trillion_divisions(self, capsys):
+        # the nearest degree is found without building the temperament
+        code, out, _ = run(capsys, "compare", "NATURAL", "--N", "1000000000000")
+        assert code == EXIT_OK
+        assert "9/8 ~ degree 169925001443  +0.000 cents" in out
+        assert "2/1 ~ degree 1000000000001  +0.000 cents" in out
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "compare", "PYTHAGOREAN", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))

@@ -290,14 +290,28 @@ class TestExactSqrt:
             assert math.isqrt(r.num) ** 2 != r.num or math.isqrt(r.den) ** 2 != r.den
 
 
-def test_import_leaves_fractions_and_decimal_unloaded():
-    # Ratio hashes without a Fraction, so neither module (nor what they
-    # import) is paid for by `import diapason.cli`.
+def _loaded_by_cli_import(names):
+    """Which of `names` a fresh `python -I -S` has loaded after `import diapason.cli`.
+
+    -S keeps site hooks out of the count: a `.pth` file of an installed
+    package may import `tempfile`, and with it `random`.
+    """
     src = str(Path(diapason.__file__).resolve().parents[1])
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import diapason.cli; "
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        f"print(sorted({set(names)!r} & set(sys.modules)))"
     )
-    done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True,
                           timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # Ratio hashes without a Fraction, so neither module (nor what they
+    # import) is paid for by `import diapason.cli`.
+    assert _loaded_by_cli_import({"fractions", "decimal"}) == "[]\n"
+
+
+def test_import_leaves_random_unloaded():
+    # the certifier covers every insertion order at once and draws none
+    assert _loaded_by_cli_import({"random"}) == "[]\n"

@@ -7,12 +7,14 @@ a visible one.
 import ast
 import importlib
 import importlib.util
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import diapason
+from diapason.scales import canonical
 
 MODULES = ("exact", "means", "scales", "generator", "analysis", "cli")
 BENCHMARK_FILES = ("layers.py", "workloads.py")
@@ -83,3 +85,12 @@ def test_benchmark_imports_still_exist(filename):
     for module, name in imported:
         owner = importlib.import_module(module)
         assert hasattr(owner, name) or importlib.util.find_spec(f"{module}.{name}"), (module, name)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert "5/4 = A(1/1, 3/2)" in capsys.readouterr().out
+    assert namespace["trace"].final.tones == canonical("SN1").tones
