@@ -10,10 +10,9 @@ transposition — plus cent-level reporting against equal temperament.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
-from .exact import FIVE_LIMIT, Ratio, Restriction, exponents, is_smooth
+from .exact import FIVE_LIMIT, Ratio, Restriction, _Record, exponents, is_smooth
 from .means import MeanKind, mean_of_kind
 from .scales import Scale, cents, reduce_to_diapason, step_intervals
 
@@ -42,11 +41,10 @@ class TableClass(enum.Enum):
     OUTSIDE = "Outside"
 
 
-class TableCell(NamedTuple):
-    row: Ratio
-    col: Ratio
-    mean: Ratio
-    klass: TableClass
+class TableCell(namedtuple("TableCell", "row col mean klass")):
+    """The `mean` of the tones `row` < `col`, and its TableClass `klass`."""
+
+    __slots__ = ()
 
 
 def mean_table(
@@ -84,9 +82,8 @@ def comma_between(a: Ratio, b: Ratio) -> Ratio:
     return a / b if a >= b else b / a
 
 
-@dataclass(frozen=True)
-class DiapenteRecipe:
-    """A 5-limit ratio rewritten as 5^fives * (3/2)^fifths * 2^octaves.
+class DiapenteRecipe(_Record):
+    """A 5-limit ratio `value` rewritten as 5^fives * (3/2)^fifths * 2^octaves.
 
     The exponents determine the value exactly; `describe` renders the
     same walk anchored at the octave-reduced power of five, the way the
@@ -94,10 +91,7 @@ class DiapenteRecipe:
     diapason down.
     """
 
-    value: Ratio
-    fives: int
-    fifths: int
-    octaves: int
+    __slots__ = _fields = ("value", "fives", "fifths", "octaves")
 
     def recompose(self) -> Ratio:
         return Ratio(5) ** self.fives * _DIAPENTE**self.fifths * Ratio(2) ** self.octaves
@@ -126,13 +120,13 @@ def factor_identity(r: Ratio) -> DiapenteRecipe:
     if vector is None:
         raise ValueError(f"{r} is not 5-limit")
     twos, threes, fives = vector
-    return DiapenteRecipe(value=r, fives=fives, fifths=threes, octaves=twos + threes)
+    return DiapenteRecipe(r, fives, threes, twos + threes)
 
 
-class Transposition(NamedTuple):
-    tone: Ratio
-    image: Ratio
-    in_scale: bool
+class Transposition(namedtuple("Transposition", "tone image in_scale")):
+    """A `tone`, its `image` a diapente up (folded), and whether that is `in_scale`."""
+
+    __slots__ = ()
 
 
 def hexachord_diapente_check(
@@ -152,10 +146,10 @@ def hexachord_diapente_check(
     return result
 
 
-class EqualComparison(NamedTuple):
-    tone: Ratio
-    degree: int
-    deviation_cents: float
+class EqualComparison(namedtuple("EqualComparison", "tone degree deviation_cents")):
+    """A `tone`, its nearest equal-tempered `degree`, and its signed `deviation_cents`."""
+
+    __slots__ = ()
 
 
 def compare_to_equal(scale: Scale, N: int) -> list[EqualComparison]:
@@ -203,10 +197,10 @@ def _names() -> dict[Ratio, str]:
 INTERVAL_NAMES = _names()
 
 
-class IntervalCount(NamedTuple):
-    ratio: Ratio
-    label: str | None
-    count: int
+class IntervalCount(namedtuple("IntervalCount", "ratio label count")):
+    """A step `ratio`, its `label` (None when unnamed), and its `count` in the scale."""
+
+    __slots__ = ()
 
 
 def interval_census(scale: Scale) -> list[IntervalCount]:

@@ -16,7 +16,8 @@ import functools
 import io
 import json
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .analysis import INTERVAL_NAMES, TableClass, compare_to_equal, interval_census, mean_table
 from .exact import Ratio, RatioOverflowError, Restriction
@@ -96,22 +97,18 @@ def _spec_int(tail: str, key: str, minimum: int) -> int:
     return value
 
 
-class Report(NamedTuple):
-    """One command's result, ready for every format.
+_REPORT_FIELDS = "payload csv_header csv_rows md_heading md_header md_rows plain md_tail exit_code"
 
-    The callables build one format's body each, so only the format that
-    was asked for pays for its rows.
+
+class Report(namedtuple("Report", _REPORT_FIELDS, defaults=("", EXIT_OK))):
+    """One command's result, ready for every format, and its `exit_code`.
+
+    The callables `payload`, `csv_rows`, `md_rows` and `plain` build one
+    format's body each, so only the format that was asked for pays for
+    its rows.  `md_tail` is one line after the Markdown table.
     """
 
-    payload: Callable[[], object]
-    csv_header: Sequence[str]
-    csv_rows: Callable[[], Iterable[Sequence[object]]]
-    md_heading: str
-    md_header: Sequence[str]
-    md_rows: Callable[[], Iterable[Sequence[str]]]
-    plain: Callable[[], Iterable[str]]
-    md_tail: str = ""  # one line after the table
-    exit_code: int = EXIT_OK
+    __slots__ = ()
 
 
 def _render(report: Report, fmt: str) -> str:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "MAGNITUDE_LIMIT",
@@ -80,8 +79,13 @@ class Ratio:
         _set_num(self, num)
         _set_den(self, den)
 
-    def __setattr__(self, name: str, value: object) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError("Ratio is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return Ratio, (self.num, self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -169,16 +173,79 @@ def parse_ratio(text: str) -> Ratio:
     return Ratio(num, den)
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Prime limit: only ratios built from these primes are admitted.
+class _Record:
+    """An immutable value whose `_fields` alone make its ==, hash, repr and pickle."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for integers below _PRIME_BOUND."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    odd, halvings = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        halvings += 1
+    for base in _PRIME_BASES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(halvings - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # base witnesses that n is composite
+    return True
+
+
+class Restriction(_Record):
+    """Prime limit: only ratios built from these `primes` are admitted.
 
     The two working limits are THREE_LIMIT ({2, 3}, the Pythagorean
     world) and FIVE_LIMIT ({2, 3, 5}, the natural world); anything
-    larger can be built by passing more primes.
+    larger can be built by passing more primes, each below 3.3 * 10^24.
     """
 
-    primes: frozenset[int]
+    __slots__ = ("primes", "_radical")
+    _fields = ("primes",)
 
     def __init__(self, primes) -> None:
         primes = frozenset(primes)
@@ -187,11 +254,14 @@ class Restriction:
         if 2 not in primes:
             raise ValueError("the diapason prime 2 must be allowed")
         for p in primes:
-            if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            if not isinstance(p, int):
+                raise TypeError(f"primes are integers, got {p!r}")
+            if p >= _PRIME_BOUND:
+                raise ValueError(f"{p} is not below {_PRIME_BOUND}, the primality test's bound")
+            if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", primes)
-        # Not a field: equality, hashing and repr still see only `primes`.
-        object.__setattr__(self, "_radical", math.prod(primes))
+        object.__setattr__(self, "_radical", math.prod(primes))  # not a field
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in sorted(self.primes))

@@ -31,10 +31,10 @@ table of ranks from one full scan of the fixpoint's tones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence, Set
 
-from .exact import FIVE_LIMIT, Ratio, Restriction, is_smooth
+from .exact import FIVE_LIMIT, Ratio, Restriction, _Record, is_smooth
 from .means import MeanKind, mean_of_kind
 from .scales import Scale
 
@@ -49,9 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs for one closure run.
+class GeneratorConfig(_Record):
+    """Knobs for one closure run: mean `kinds`, `restriction`, `max_generations`.
 
     kinds defaults to arithmetic alone: that single kind under the
     5-limit already reproduces both published natural closures, and
@@ -59,12 +58,11 @@ class GeneratorConfig:
     diapason: all three kinds lie between their arguments.
     """
 
-    kinds: frozenset[MeanKind] = frozenset({MeanKind.ARITHMETIC})
-    restriction: Restriction = FIVE_LIMIT
-    max_generations: int = 64
+    __slots__ = _fields = ("kinds", "restriction", "max_generations")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", frozenset(self.kinds))
+    def __init__(self, kinds: Iterable[MeanKind] = frozenset({MeanKind.ARITHMETIC}),
+                 restriction: Restriction = FIVE_LIMIT, max_generations: int = 64) -> None:
+        _Record.__init__(self, frozenset(kinds), restriction, max_generations)
         if not self.kinds:
             raise ValueError("at least one mean kind is required")
         for kind in self.kinds:
@@ -78,13 +76,10 @@ class GeneratorConfig:
             raise ValueError("max_generations must be >= 1")
 
 
-class Witness(NamedTuple):
-    """One pair (and kind) that produces `tone` as its mean."""
+class Witness(namedtuple("Witness", "tone a b kind")):
+    """One pair `a` < `b` (and `kind`) that produces `tone` as its mean."""
 
-    tone: Ratio
-    a: Ratio
-    b: Ratio
-    kind: MeanKind
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,26 +90,21 @@ class Witness(NamedTuple):
         }
 
 
-class Generation(NamedTuple):
-    """Tones added by one closure pass, sorted, each with its witness."""
+class Generation(namedtuple("Generation", "added witnesses")):
+    """Tones `added` by one closure pass, sorted, each with one of the `witnesses`."""
 
-    added: tuple[Ratio, ...]
-    witnesses: tuple[Witness, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
-    """Complete record of a closure run.
+class ClosureTrace(_Record):
+    """Complete record of a closure run from the `seed` Scale to the `final` one.
 
     `generations` lists only productive passes; the silent confirming
-    pass shows up as fixpoint_reached instead.  When the generation cap
+    pass shows up as `fixpoint_reached` instead.  When the generation cap
     is exhausted before a silent pass, fixpoint_reached stays False.
     """
 
-    seed: Scale
-    generations: tuple[Generation, ...]
-    fixpoint_reached: bool
-    final: Scale
+    __slots__ = _fields = ("seed", "generations", "fixpoint_reached", "final")
 
     def added_tones(self) -> list[Ratio]:
         return [tone for generation in self.generations for tone in generation.added]
@@ -137,7 +127,7 @@ class ClosureTrace:
 def _in_limit_means(
     ordered: Sequence[Ratio],
     config: GeneratorConfig,
-    fresh: AbstractSet[Ratio],
+    fresh: Set[Ratio],
 ) -> Iterator[tuple[Ratio, Ratio, MeanKind, Ratio]]:
     """(a, b, kind, mean) for each in-limit mean of the pairs a < b of
     sorted `ordered` that hold a tone of `fresh` (a subset of `ordered`).
@@ -180,7 +170,7 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     current = set(seed.tones)
     generations: list[Generation] = []
     fixpoint = False
-    fresh: AbstractSet[Ratio] = current  # the first pass scans every pair
+    fresh: Set[Ratio] = current  # the first pass scans every pair
     for _ in range(config.max_generations):
         found: dict[Ratio, Witness] = {}
         for a, b, kind, mean in _in_limit_means(sorted(current), config, fresh):

@@ -9,10 +9,10 @@ the modal reference sets (finales tetrachord, natural hexachord).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .exact import ONE, TWO, Ratio, parse_ratio
+from .exact import ONE, TWO, Ratio, _Record, parse_ratio
 
 __all__ = [
     "CANONICAL_NAMES",
@@ -48,15 +48,14 @@ def reduce_to_diapason(r: Ratio) -> Ratio:
     return r
 
 
-@dataclass(frozen=True)
-class Scale:
-    """Named, strictly increasing tones within the closed diapason [1, 2].
+class Scale(_Record):
+    """A `name` and strictly increasing `tones` within the closed diapason [1, 2].
 
     Any Ratio in [1, 2] is a tone; the constructor enforces the bound.
     """
 
-    name: str
-    tones: tuple[Ratio, ...]
+    __slots__ = ("name", "tones", "_members")
+    _fields = ("name", "tones")
 
     def __init__(self, name: str, tones: Iterable[Ratio]) -> None:
         tones = tuple(tones)
@@ -169,11 +168,10 @@ def pythagorean_by_diapente(steps: int) -> Scale:
     return Scale(f"pythagorean:steps={steps}", sorted(tones))
 
 
-class SpiralTone(NamedTuple):
-    """One stop on the spiral of fifths: signed step count and folded tone."""
+class SpiralTone(namedtuple("SpiralTone", "step tone")):
+    """One stop on the spiral of fifths: signed `step` count and folded `tone`."""
 
-    step: int
-    tone: Ratio
+    __slots__ = ()
 
 
 def fifths_spiral(up: int, down: int) -> list[SpiralTone]:
@@ -191,13 +189,11 @@ def fifths_spiral(up: int, down: int) -> list[SpiralTone]:
     return spiral
 
 
-@dataclass(frozen=True)
-class EqualTemperament:
-    """N equal divisions of the diapason; degrees run 1..N+1, so
-    degrees[0] == 1.0 and degrees[N] == 2.0."""
+class EqualTemperament(_Record):
+    """N equal `divisions` of the diapason; the float `degrees` run 1..N+1,
+    so degrees[0] == 1.0 and degrees[N] == 2.0."""
 
-    divisions: int
-    degrees: tuple[float, ...]
+    __slots__ = _fields = ("divisions", "degrees")
 
 
 def equal_temperament(N: int) -> EqualTemperament:
@@ -207,7 +203,7 @@ def equal_temperament(N: int) -> EqualTemperament:
     return EqualTemperament(N, tuple(2.0 ** ((k - 1) / N) for k in range(1, N + 2)))
 
 
-def cents(interval: Union[Ratio, float, int]) -> float:
+def cents(interval: Ratio | float | int) -> float:
     """Logarithmic interval size: 1200 * log2(interval)."""
     value = float(interval)
     if value <= 0:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,19 @@ class TestUsageErrors:
         code, _, err = run(capsys, "closure", "T", "--primes", "2,4")
         assert code == EXIT_USAGE
         assert "4 is not prime" in err
+
+    def test_large_prime_returns_promptly(self, capsys):
+        # Trial division took about a second to admit this prime.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "closure", "T", "--primes", "2,100000000000031")
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_OK
+        assert "closure of T under primes 2,100000000000031" in out
+
+    def test_prime_beyond_the_test_bound(self, capsys):
+        code, _, err = run(capsys, "closure", "T", "--primes", "2,3317044064679887385961981")
+        assert code == EXIT_USAGE
+        assert "the primality test's bound" in err
 
     def test_primes_must_include_two(self, capsys):
         code, _, err = run(capsys, "closure", "T", "--primes", "3,5")

@@ -1,16 +1,20 @@
 """Tests for the exact rational layer: Ratio, parsing, exponent vectors, roots."""
 
+import copy
 import fractions
 import math
 import operator
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import diapason
+from diapason import cli
 from diapason.exact import (
     FIVE_LIMIT,
     MAGNITUDE_LIMIT,
@@ -62,6 +66,9 @@ class TestConstruction:
         r = Ratio(3, 2)
         with pytest.raises(AttributeError):
             r.num = 4  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            del r.den
+        assert r == Ratio(3, 2)
 
 
 class TestParsing:
@@ -239,6 +246,49 @@ class TestRestriction:
         assert hash(r) == hash(THREE_LIMIT)
         assert repr(r) == "Restriction(primes=frozenset({2, 3}))"
         assert r != FIVE_LIMIT
+        object.__setattr__(r, "_radical", 1)  # past the immutable __setattr__
+        assert r == THREE_LIMIT and hash(r) == hash(THREE_LIMIT)
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            Restriction({2, 3.0})
+
+    def test_large_primes_are_accepted_at_once(self):
+        # Trial division up to the square root took about a second for
+        # the first and would take minutes for the Mersenne prime 2^61 - 1.
+        start = time.perf_counter()
+        for p in (100000000000031, 2**61 - 1, 3317044064679887385961813):
+            assert Restriction({2, p}).primes == {2, p}
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "pseudoprime",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+            3825123056546413051,  # ... to every base up to 31; 37 exposes it
+            318665857834031151167461,  # ... to every base up to 37; 41 exposes it
+        ],
+    )
+    def test_rejects_strong_pseudoprimes(self, pseudoprime):
+        with pytest.raises(ValueError, match=f"{pseudoprime} is not prime"):
+            Restriction({2, pseudoprime})
+
+    def test_rejects_primes_from_the_test_bound_on(self):
+        # Below 3317044064679887385961981 the first 13 prime bases decide
+        # primality exactly; at it and above they need not.
+        for p in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(ValueError, match="3317044064679887385961981"):
+                Restriction({2, p})
+
+    @given(st.integers(-5, 10**6 - 1))
+    def test_agrees_with_trial_division(self, n):
+        trial = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+        try:
+            Restriction({2, n})
+        except ValueError:
+            assert not trial
+        else:
+            assert trial
 
 
 class TestFactorization:
@@ -315,3 +365,92 @@ def test_import_leaves_fractions_and_decimal_unloaded():
 def test_import_leaves_random_unloaded():
     # the certifier covers every insertion order at once and draws none
     assert _loaded_by_cli_import({"random"}) == "[]\n"
+
+
+def test_import_leaves_dataclasses_inspect_and_typing_unloaded():
+    # The records are plain __slots__ classes and the tuples come from
+    # collections: dataclasses would load inspect (with ast and tokenize).
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "typing"}) == "[]\n"
+
+
+# One value of each immutable class, with the repr a frozen dataclass
+# (or a NamedTuple) gave it: the records keep those reprs byte for byte.
+_T = "Scale(name='T', tones=(Ratio(1, 1), Ratio(4, 3), Ratio(3, 2), Ratio(2, 1)))"
+_WITNESS = "Witness(tone=Ratio(5, 4), a=Ratio(1, 1), b=Ratio(3, 2), kind=<MeanKind.ARITHMETIC: 'A'>)"
+_GENERATION = f"Generation(added=(Ratio(5, 4),), witnesses=({_WITNESS},))"
+_CAPPED = diapason.mean_closure(diapason.canonical("T"), diapason.GeneratorConfig(max_generations=1))
+VALUES = {
+    "Ratio(3, 2)": Ratio(3, 2),
+    "Restriction(primes=frozenset({2, 3, 5}))": FIVE_LIMIT,
+    "GeneratorConfig(kinds=frozenset({<MeanKind.HARMONIC: 'H'>}), "
+    "restriction=Restriction(primes=frozenset({2, 3})), max_generations=3)":
+        diapason.GeneratorConfig(frozenset({diapason.MeanKind.HARMONIC}), THREE_LIMIT, 3),
+    _T: diapason.canonical("T"),
+    "EqualTemperament(divisions=2, degrees=(1.0, 1.4142135623730951, 2.0))": diapason.equal_temperament(2),
+    "DiapenteRecipe(value=Ratio(135, 128), fives=1, fifths=3, octaves=-4)":
+        diapason.factor_identity(Ratio(135, 128)),
+    f"ClosureTrace(seed={_T}, generations=(Generation(added=(Ratio(5, 4), Ratio(5, 3)), "
+    "witnesses=(Witness(tone=Ratio(5, 4), a=Ratio(1, 1), b=Ratio(3, 2), kind=<MeanKind.ARITHMETIC: 'A'>), "
+    "Witness(tone=Ratio(5, 3), a=Ratio(4, 3), b=Ratio(2, 1), kind=<MeanKind.ARITHMETIC: 'A'>))),), "
+    "fixpoint_reached=False, final=Scale(name='T-closure', tones=(Ratio(1, 1), Ratio(5, 4), Ratio(4, 3), "
+    "Ratio(3, 2), Ratio(5, 3), Ratio(2, 1))))": _CAPPED,
+    _WITNESS: _CAPPED.generations[0].witnesses[0],
+    _GENERATION: diapason.Generation((Ratio(5, 4),), (_CAPPED.generations[0].witnesses[0],)),
+}
+RECORDS = [v for v in VALUES.values() if not isinstance(v, (Ratio, tuple))]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("text", VALUES)
+    def test_repr_is_pinned(self, text):
+        assert repr(VALUES[text]) == text
+
+    @pytest.mark.parametrize("value", VALUES.values(), ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_are_equal_and_hash_equal(self, value, round_trip):
+        back = round_trip(value)
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+        assert repr(back) == repr(value)
+
+    def test_round_trips_rebuild_what_is_no_field(self):
+        r, scale = pickle.loads(pickle.dumps((FIVE_LIMIT, diapason.canonical("T"))))
+        assert r._radical == 30 and is_smooth(Ratio(5, 3), r)
+        assert Ratio(4, 3) in copy.deepcopy(scale) and Ratio(5, 4) not in copy.copy(scale)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda v: type(v).__name__)
+    def test_assignment_and_deletion_raise(self, record):
+        for name in (*record._fields, "_extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda v: type(v).__name__)
+    def test_equal_only_within_a_class(self, record):
+        assert record == type(record)(*record._values())
+        assert record.__eq__(Ratio(3, 2)) is NotImplemented
+        assert all(record != other for other in RECORDS if other is not record)
+
+    def test_same_values_in_another_class_are_unequal(self):
+        # as with dataclasses, equal field values do not make records of two classes equal
+        assert diapason.ClosureTrace(1, 2, 3, 4) != diapason.DiapenteRecipe(1, 2, 3, 4)
+        assert diapason.ClosureTrace(1, 2, 3, 4) == diapason.ClosureTrace(1, 2, 3, 4)
+
+    def test_generic_init_takes_every_field(self):
+        with pytest.raises(TypeError, match="takes 2 fields"):
+            diapason.EqualTemperament(2)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [diapason.SpiralTone, diapason.Witness, diapason.Generation, diapason.TableCell,
+         diapason.Transposition, diapason.EqualComparison, diapason.IntervalCount, cli.Report],
+    )
+    def test_tuples_have_no_dict(self, cls):
+        assert not hasattr(cls(*range(len(cls._fields))), "__dict__")

@@ -1,6 +1,5 @@
 """Mean-generator closure: single passes, fixpoints, traces, confluence."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -31,6 +30,35 @@ class TestConfig:
         assert cfg.kinds == frozenset({MeanKind.ARITHMETIC})
         assert cfg.restriction == FIVE_LIMIT
         assert cfg.max_generations == 64
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = GeneratorConfig(kinds=AH, restriction=THREE_LIMIT, max_generations=5)
+        by_position = GeneratorConfig(AH, THREE_LIMIT, 5)
+        assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
+        assert (by_position.kinds, by_position.restriction, by_position.max_generations) == (
+            AH, THREE_LIMIT, 5)
+        assert GeneratorConfig(AH) == GeneratorConfig(kinds=AH, restriction=FIVE_LIMIT, max_generations=64)
+        assert GeneratorConfig() != GeneratorConfig(max_generations=63)
+
+    def test_too_many_arguments(self):
+        with pytest.raises(TypeError):
+            GeneratorConfig(AH, THREE_LIMIT, 5, 6)
+        with pytest.raises(TypeError):
+            GeneratorConfig(kinds=AH, cap=3)
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((frozenset(),), ValueError),
+            (("AH",), TypeError),
+            ((AH, (2, 3, 5)), TypeError),
+            ((AH, FIVE_LIMIT, 0), ValueError),
+            ((AH, FIVE_LIMIT, True), TypeError),
+        ],
+    )
+    def test_positional_arguments_are_checked(self, args, error):
+        with pytest.raises(error):
+            GeneratorConfig(*args)
 
     def test_kinds_validated(self):
         with pytest.raises(ValueError):
@@ -277,7 +305,7 @@ class TestConfluence:
         def edited_closure(seed, config):
             trace = real(seed, config)
             final = Scale(trace.final.name, sorted(edit_final(set(trace.final))))
-            return dataclasses.replace(trace, final=final)
+            return ClosureTrace(trace.seed, trace.generations, trace.fixpoint_reached, final)
 
         monkeypatch.setattr(generator, "mean_closure", edited_closure)
         seed, config = canonical("T"), GeneratorConfig()

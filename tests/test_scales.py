@@ -131,6 +131,17 @@ class TestScale:
         s = canonical("T")
         with pytest.raises(AttributeError):
             s.name = "other"  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            del s.tones
+
+    def test_member_set_is_no_field(self):
+        # The frozenset behind `in` rides along, but equality, hashing and
+        # repr see only the name and the tones.
+        s = Scale("T", canonical("T").tones)
+        object.__setattr__(s, "_members", frozenset())  # past the immutable __setattr__
+        assert s == canonical("T") and hash(s) == hash(canonical("T"))
+        assert "_members" not in repr(s)
+        assert s != Scale("T2", canonical("T").tones)
 
 
 class TestCanonical:
@@ -297,6 +308,13 @@ class TestEqualTemperament:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             equal_temperament(0)
+
+    def test_value_semantics(self):
+        assert equal_temperament(12) == equal_temperament(12)
+        assert hash(equal_temperament(12)) == hash(equal_temperament(12))
+        assert equal_temperament(12) != equal_temperament(24)
+        with pytest.raises(AttributeError):
+            equal_temperament(12).divisions = 24  # type: ignore[misc]
 
 
 class TestCents:
