@@ -185,7 +185,7 @@ class _Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         return self._values() == other._values() if type(other) is type(self) else NotImplemented

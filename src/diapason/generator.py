@@ -26,16 +26,21 @@ It has three callers.  `mean_closure` sorts once per pass and keeps,
 for each mean not yet in the set, the first pair and kind that yield
 it: the least witness.  `generate_means` collects the means of a full
 scan.  `closure_order_independence` needs only values: it fills its
-table of ranks from one full scan of the fixpoint's tones.
+table of ranks from one full scan of the fixpoint's tones.  The kernel
+decides an arithmetic mean (ps + rq)/2qs of p/q and r/s on its integer
+parts and builds a Ratio only for a mean it keeps.  It divides both by
+their gcd before `is_smooth`'s test, so that a prime outside the limit
+that they share (a seed tone outside the limit can make one) cancels.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence, Set
+from math import gcd
 
-from .exact import FIVE_LIMIT, Ratio, Restriction, _Record, is_smooth
-from .means import MeanKind, mean_of_kind
+from .exact import FIVE_LIMIT, MAGNITUDE_LIMIT, Ratio, Restriction, _Record
+from .means import MeanKind, mean_geometric, mean_harmonic
 from .scales import Scale
 
 __all__ = [
@@ -136,7 +141,10 @@ def _in_limit_means(
     first pair and kind to yield a mean are its least witness.  A full
     scan passes every tone as fresh.
     """
-    kinds = sorted(config.kinds, key=lambda k: k.value)
+    rad = config.restriction._radical
+    arithmetic = MeanKind.ARITHMETIC in config.kinds
+    others = [(kind, mean_geometric if kind is MeanKind.GEOMETRIC else mean_harmonic)
+              for kind in sorted(config.kinds - {MeanKind.ARITHMETIC}, key=lambda k: k.value)]
     fresh_ordered = [t for t in ordered if t in fresh]
     fresh_seen = 0
     for i, a in enumerate(ordered):
@@ -145,10 +153,22 @@ def _in_limit_means(
             partners = ordered[i + 1 :]
         else:
             partners = fresh_ordered[fresh_seen:]  # the fresh tones above a
+        p, q = a.num, a.den
         for b in partners:
-            for kind in kinds:
-                mean = mean_of_kind(a, b, kind)  # None: an irrational geometric mean
-                if mean is not None and is_smooth(mean, config.restriction):
+            if arithmetic:
+                # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
+                num, den = p * b.den + b.num * q, 2 * q * b.den
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
+                    Ratio(num, den)  # raises RatioOverflowError
+                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                    yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
+            for kind, mean_of in others:
+                if (mean := mean_of(a, b)) is None:
+                    continue  # an irrational geometric mean
+                num, den = mean.num, mean.den
+                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
                     yield a, b, kind, mean
 
 

@@ -5,10 +5,18 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diapason import generator
-from diapason.exact import FIVE_LIMIT, ONE, THREE_LIMIT, Ratio, Restriction, is_smooth
+from diapason.exact import (
+    FIVE_LIMIT,
+    ONE,
+    THREE_LIMIT,
+    Ratio,
+    RatioOverflowError,
+    Restriction,
+    is_smooth,
+)
 from diapason.generator import (
     ClosureTrace,
     GeneratorConfig,
@@ -18,8 +26,8 @@ from diapason.generator import (
     mean_closure,
 )
 from diapason.means import MeanKind, mean_of_kind
-from diapason.scales import Scale, canonical, pythagorean_by_diapente
-from test_oracle import MAX_GENERATIONS, SEED_POOL
+from diapason.scales import Scale, canonical, pythagorean_by_diapente, reduce_to_diapason
+from test_oracle import MAX_GENERATIONS, SEED_POOL, prime_sets
 
 AH = frozenset({MeanKind.ARITHMETIC, MeanKind.HARMONIC})
 
@@ -91,6 +99,22 @@ class TestConfig:
             GeneratorConfig(max_generations=cap)
 
 
+@st.composite
+def _products(draw):
+    """A tone of the 13-limit: a product of odd primes up to 13, folded into [1, 2]."""
+    exps = draw(st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+    product = ONE
+    for prime, exp in zip((3, 5, 7, 11, 13), exps):
+        product = product * Ratio(prime) ** exp
+    return reduce_to_diapason(product)
+
+
+# Tones inside and outside the drawn prime limits.
+_TONES = st.one_of(
+    _products(), st.sampled_from([Ratio(7, 4), Ratio(11, 8), Ratio(8, 7), Ratio(3, 2)])
+)
+
+
 class TestGenerateMeans:
     def test_tavoletta_single_pass(self):
         got = generate_means(canonical("T"), GeneratorConfig())
@@ -113,6 +137,33 @@ class TestGenerateMeans:
     def test_needs_two_tones(self):
         with pytest.raises(ValueError):
             generate_means(Scale("solo", [Ratio(3, 2)]), GeneratorConfig())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TONES, min_size=2, max_size=2, unique=True), prime_sets,
+           st.sets(st.sampled_from(MeanKind), min_size=1))
+    # 8/7 and 13/7 lie outside {2, 3}, yet their mean 147/98 reduces to 3/2
+    @example([Ratio(8, 7), Ratio(13, 7)], frozenset({2, 3}), {MeanKind.ARITHMETIC})
+    def test_a_pair_yields_its_means_in_the_limit(self, pair, primes, kinds):
+        # Each mean built as a Ratio, then tested by is_smooth: the kernel's
+        # decision on integer parts must agree with it.
+        config = GeneratorConfig(kinds=kinds, restriction=Restriction(primes))
+        a, b = sorted(pair)
+        means = {mean_of_kind(a, b, kind) for kind in kinds} - {None}
+        expected = {m for m in means if is_smooth(m, config.restriction)}
+        assert generate_means(Scale("pair", [a, b]), config) == expected
+
+    def test_a_mean_past_the_guard_still_raises(self):
+        # Coprime odd denominators of 127 bits: the reduced mean's
+        # denominator has about 254 bits.  It lies outside every limit,
+        # and the guard raises before the limit is tested.
+        q, s = 2**127 - 1, 2**127 - 3
+        pair = Scale("pair", [Ratio(q + 2, q), Ratio(s + 2, s)])
+        for primes in ((2,), (2, 3, 5), (2, 3, 5, 7, 11, 13)):
+            config = GeneratorConfig(restriction=Restriction(primes))
+            with pytest.raises(RatioOverflowError):
+                generate_means(pair, config)
+            with pytest.raises(RatioOverflowError):
+                mean_closure(pair, config)
 
 
 class TestClosureFromTavoletta:
@@ -430,16 +481,25 @@ class TestSemiNaiveMatchesFullRescan:
 
 
 def _mean_calls(run):
-    """What `run()` returns, and how many means it had the generator compute."""
+    """What `run()` returns, and how many means it had the generator compute.
+
+    The kernel reduces each arithmetic mean with one `gcd` call and
+    calls `mean_geometric` or `mean_harmonic` for each other mean, so
+    those calls count every kind.
+    """
     calls = 0
 
-    def counting_mean_of_kind(a, b, kind):
-        nonlocal calls
-        calls += 1
-        return mean_of_kind(a, b, kind)
+    def counting(function):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return function(*args)
+
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generator, "mean_of_kind", counting_mean_of_kind)
+        for name in ("gcd", "mean_geometric", "mean_harmonic"):
+            mp.setattr(generator, name, counting(getattr(generator, name)))
         result = run()
     return result, calls
 
