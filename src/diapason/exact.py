@@ -47,6 +47,9 @@ class RatioOverflowError(ArithmeticError):
     """A ratio operation produced a part larger than MAGNITUDE_LIMIT."""
 
 
+_OVERFLOW_MESSAGE = f"ratio part exceeds {MAGNITUDE_LIMIT.bit_length() - 1} bits"
+
+
 _PARSE_PATTERN = re.compile(r"\A(\d+)(?:\s*[/:]\s*(\d+))?\Z")
 
 
@@ -75,7 +78,7 @@ class Ratio:
         num //= g
         den //= g
         if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
-            raise RatioOverflowError(f"ratio part exceeds {MAGNITUDE_LIMIT.bit_length() - 1} bits")
+            raise RatioOverflowError(_OVERFLOW_MESSAGE)
         _set_num(self, num)
         _set_den(self, den)
 
@@ -92,17 +95,17 @@ class Ratio:
     def __mul__(self, other: Ratio) -> Ratio:
         if not isinstance(other, Ratio):
             return NotImplemented
-        return Ratio(self.num * other.num, self.den * other.den)
+        return _from_parts(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: Ratio) -> Ratio:
         if not isinstance(other, Ratio):
             return NotImplemented
-        return Ratio(self.num * other.den, self.den * other.num)
+        return _from_parts(self.num * other.den, self.den * other.num)
 
     def __add__(self, other: Ratio) -> Ratio:
         if not isinstance(other, Ratio):
             return NotImplemented
-        return Ratio(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _from_parts(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __pow__(self, exponent: int) -> Ratio:
         if not isinstance(exponent, int):
@@ -155,9 +158,27 @@ class Ratio:
 
 
 # The slots' own setters write past the immutable __setattr__, at less
-# cost per construction than object.__setattr__ and its name lookup.
+# cost per construction than object.__setattr__ and its name lookup;
+# _from_parts fills an instance made by object.__new__, without __init__.
 _set_num = Ratio.num.__set__
 _set_den = Ratio.den.__set__
+_new_ratio = object.__new__
+
+
+def _from_parts(num: int, den: int) -> Ratio:
+    """Ratio(num, den) for positive int parts, which *, / and + of two
+    Ratios always give: it reduces and guards the magnitude as __init__
+    does, and skips __init__'s type and sign checks."""
+    g = math.gcd(num, den)
+    num //= g
+    den //= g
+    if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
+        raise RatioOverflowError(_OVERFLOW_MESSAGE)
+    ratio = _new_ratio(Ratio)
+    _set_num(ratio, num)
+    _set_den(ratio, den)
+    return ratio
+
 
 ONE = Ratio(1)
 TWO = Ratio(2)

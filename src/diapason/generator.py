@@ -22,24 +22,29 @@ outside the prime limit.
 
 One kernel, `_in_limit_means`, yields each in-limit mean of the pairs
 of a sorted tone list that hold a fresh tone, with its pair and kind.
-It has three callers.  `mean_closure` sorts once per pass and keeps,
-for each mean not yet in the set, the first pair and kind that yield
-it: the least witness.  `generate_means` collects the means of a full
-scan.  `closure_order_independence` needs only values: it fills its
-table of ranks from one full scan of the fixpoint's tones.  The kernel
-decides an arithmetic mean (ps + rq)/2qs of p/q and r/s on its integer
-parts and builds a Ratio only for a mean it keeps.  It divides both by
-their gcd before `is_smooth`'s test, so that a prime outside the limit
-that they share (a seed tone outside the limit can make one) cancels.
+The fresh tones come as a sorted sub-sequence of that list holding the
+same objects, which the kernel matches by identity, not by hash.  It
+has three callers.  `mean_closure` keeps one sorted list, merges each
+generation's sorted tones into it and passes that generation as fresh;
+for each mean not yet in the set it keeps the first pair and kind that
+yield it: the least witness.  `generate_means` collects the means of a
+full scan.  `closure_order_independence` needs only values: it fills
+its table of ranks from one full scan of the fixpoint's tones.  The
+kernel decides an arithmetic mean (ps + rq)/2qs of p/q and r/s on its
+integer parts and builds a Ratio only for a mean it keeps.  It divides
+both by their gcd before `is_smooth`'s test, so that a prime outside
+the limit that they share (a seed tone outside the limit can make one)
+cancels.  A RatioOverflowError names the pair and kind that raised it,
+and in a closure its generation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Sequence
 from math import gcd
 
-from .exact import FIVE_LIMIT, MAGNITUDE_LIMIT, Ratio, Restriction, _Record
+from .exact import FIVE_LIMIT, MAGNITUDE_LIMIT, Ratio, RatioOverflowError, Restriction, _Record
 from .means import MeanKind, mean_geometric, mean_harmonic
 from .scales import Scale
 
@@ -132,44 +137,52 @@ class ClosureTrace(_Record):
 def _in_limit_means(
     ordered: Sequence[Ratio],
     config: GeneratorConfig,
-    fresh: Set[Ratio],
+    fresh: Sequence[Ratio],
 ) -> Iterator[tuple[Ratio, Ratio, MeanKind, Ratio]]:
     """(a, b, kind, mean) for each in-limit mean of the pairs a < b of
-    sorted `ordered` that hold a tone of `fresh` (a subset of `ordered`).
+    sorted `ordered` that hold a tone of `fresh`.
 
-    Pairs come in lexicographic order and kinds alphabetically, so the
-    first pair and kind to yield a mean are its least witness.  A full
-    scan passes every tone as fresh.
+    `fresh` is a sorted sub-sequence of `ordered` holding the same
+    objects: the walk matches it by identity, with no hashing.  Pairs
+    come in lexicographic order and kinds alphabetically, so the first
+    pair and kind to yield a mean are its least witness.  A full scan
+    passes `ordered` itself as fresh.  A RatioOverflowError names the
+    pair and kind that raised it.
     """
     rad = config.restriction._radical
     arithmetic = MeanKind.ARITHMETIC in config.kinds
     others = [(kind, mean_geometric if kind is MeanKind.GEOMETRIC else mean_harmonic)
               for kind in sorted(config.kinds - {MeanKind.ARITHMETIC}, key=lambda k: k.value)]
-    fresh_ordered = [t for t in ordered if t in fresh]
-    fresh_seen = 0
-    for i, a in enumerate(ordered):
-        if a in fresh:
-            fresh_seen += 1
-            partners = ordered[i + 1 :]
-        else:
-            partners = fresh_ordered[fresh_seen:]  # the fresh tones above a
-        p, q = a.num, a.den
-        for b in partners:
-            if arithmetic:
-                # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
-                num, den = p * b.den + b.num * q, 2 * q * b.den
-                g = gcd(num, den)
-                num, den = num // g, den // g
-                if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
-                    Ratio(num, den)  # raises RatioOverflowError
-                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                    yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
-            for kind, mean_of in others:
-                if (mean := mean_of(a, b)) is None:
-                    continue  # an irrational geometric mean
-                num, den = mean.num, mean.den
-                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                    yield a, b, kind, mean
+    fresh_seen = 0  # fresh[:fresh_seen] lie at or below a
+    fresh_count = len(fresh)
+    try:
+        for i, a in enumerate(ordered):
+            if fresh_seen < fresh_count and a is fresh[fresh_seen]:
+                fresh_seen += 1
+                partners = ordered[i + 1 :]
+            else:
+                partners = fresh[fresh_seen:]  # the fresh tones above a
+            p, q = a.num, a.den
+            for b in partners:
+                if arithmetic:
+                    # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
+                    num, den = p * b.den + b.num * q, 2 * q * b.den
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+                    if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
+                        kind = MeanKind.ARITHMETIC
+                        Ratio(num, den)  # raises RatioOverflowError
+                    if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                        yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
+                for kind, mean_of in others:
+                    if (mean := mean_of(a, b)) is None:
+                        continue  # an irrational geometric mean
+                    num, den = mean.num, mean.den
+                    if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                        yield a, b, kind, mean
+    except RatioOverflowError as error:
+        context = f"at the {kind.name.lower()} mean of {a} and {b}"
+        raise RatioOverflowError(f"{error}, {context}") from error
 
 
 def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
@@ -180,30 +193,35 @@ def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
     """
     if len(tones.tones) < 2:
         raise ValueError("need at least two tones to take means")
-    return {mean for *_, mean in _in_limit_means(tones.tones, config, set(tones.tones))}
+    return {mean for *_, mean in _in_limit_means(tones.tones, config, tones.tones)}
 
 
 def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> ClosureTrace:
     """Iterate generator passes from `seed` until saturation or the cap."""
     if len(seed.tones) < 2:
         raise ValueError("need at least two tones to take means")
-    current = set(seed.tones)
+    ordered = list(seed.tones)  # a Scale's tones strictly increase
+    current = set(ordered)
     generations: list[Generation] = []
     fixpoint = False
-    fresh: Set[Ratio] = current  # the first pass scans every pair
+    fresh: Sequence[Ratio] = ordered  # the first pass scans every pair
     for _ in range(config.max_generations):
         found: dict[Ratio, Witness] = {}
-        for a, b, kind, mean in _in_limit_means(sorted(current), config, fresh):
-            if mean not in current and mean not in found:
-                found[mean] = Witness(mean, a, b, kind)
+        try:
+            for a, b, kind, mean in _in_limit_means(ordered, config, fresh):
+                if mean not in current and mean not in found:
+                    found[mean] = Witness(mean, a, b, kind)
+        except RatioOverflowError as error:
+            raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
         if not found:
             fixpoint = True
             break
         added = tuple(sorted(found))
         generations.append(Generation(added, tuple(found[t] for t in added)))
         current.update(added)
-        fresh = found.keys()
-    final = Scale(f"{seed.name}-closure", sorted(current))
+        ordered = sorted(ordered + list(added))  # Timsort merges the two sorted runs
+        fresh = added
+    final = Scale(f"{seed.name}-closure", ordered)
     return ClosureTrace(seed, tuple(generations), fixpoint, final)
 
 
@@ -238,7 +256,7 @@ def closure_order_independence(
     tones = batch.final.tones
     rank = {tone: i for i, tone in enumerate(tones)}
     table: list[list[tuple[int, ...]]] = [[()] * len(tones) for _ in tones]
-    for a, b, _, mean in _in_limit_means(tones, config, rank.keys()):
+    for a, b, _, mean in _in_limit_means(tones, config, tones):
         if mean not in rank:
             return False
         i, j = rank[a], rank[b]

@@ -12,6 +12,8 @@ import pytest
 
 from diapason import cli
 from diapason.cli import EXIT_CAP_HIT, EXIT_OK, EXIT_OVERFLOW, EXIT_USAGE, main
+from diapason.exact import Ratio
+from diapason.scales import Scale
 
 
 def run(capsys, *argv):
@@ -293,6 +295,18 @@ class TestOverflowExit:
     def test_shallow_spiral_fine(self, capsys):
         code, _, _ = run(capsys, "scale", "pythagorean:steps=20")
         assert code == EXIT_OK
+
+    def test_closure_overflow_names_its_generation(self, capsys, monkeypatch):
+        # (q + 1)/q and (2q - 1)/q, q = 2^127 - 1, close to 3/2 in
+        # generation 1; generation 2 overflows.  No spec names the pair.
+        q = 2**127 - 1
+        wide = Scale("wide", [Ratio(q + 1, q), Ratio(2 * q - 1, q)])
+        monkeypatch.setattr(cli, "_resolve_scale", lambda spec: wide)
+        code, out, err = run(capsys, "closure", "wide")
+        assert code == EXIT_OVERFLOW
+        assert out == ""
+        assert err == (f"overflow: generation 2: ratio part exceeds 128 bits, "
+                       f"at the arithmetic mean of {q + 1}/{q} and 3/2\n")
 
 
 class TestSharedParser:

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import diapason
 from diapason import cli
@@ -36,6 +36,13 @@ from diapason.exact import (
 ratios = st.builds(Ratio, st.integers(1, 10**6), st.integers(1, 10**6))
 # small parts make equal values (2/4 and 1/2) common in a drawn pair
 tones = ratios | st.builds(Ratio, st.integers(1, 12), st.integers(1, 12))
+# parts up to MAGNITUDE_LIMIT, often multiples of 2^64 or 3^40, so that
+# a product or sum of two passes the limit before its reduction and
+# often fits after it
+_wide_parts = st.integers(1, MAGNITUDE_LIMIT) | st.builds(
+    operator.mul, st.sampled_from([2**64, 3**40]), st.integers(1, 2**64)
+)
+wide_ratios = st.builds(Ratio, _wide_parts, _wide_parts)
 
 
 class TestConstruction:
@@ -173,6 +180,36 @@ class TestOverflow:
 
     def test_overflow_is_arithmetic_error(self):
         assert issubclass(RatioOverflowError, ArithmeticError)
+
+    # each operator's unreduced parts, as Ratio(n, d) would receive them
+    _PARTS = {
+        operator.mul: lambda a, b: (a.num * b.num, a.den * b.den),
+        operator.truediv: lambda a, b: (a.num * b.den, a.den * b.num),
+        operator.add: lambda a, b: (a.num * b.den + b.num * a.den, a.den * b.den),
+    }
+
+    @settings(max_examples=300)
+    @given(wide_ratios, wide_ratios, st.sampled_from(list(_PARTS)))
+    # 3·2^128 / 3(2^127 - 1) before reduction, 2^128 / (2^127 - 1) after
+    @example(Ratio(2**127, 3), Ratio(6, 2**127 - 1), operator.mul)
+    # 5·2^128 / 18 before reduction, 5·2^127 / 9 after
+    @example(Ratio(2**128, 3), Ratio(6, 5), operator.truediv)
+    # 2^129 / 2^256 before reduction, 1 / 2^127 after
+    @example(Ratio(1, 2**128), Ratio(1, 2**128), operator.add)
+    @example(Ratio(MAGNITUDE_LIMIT), TWO, operator.mul)
+    def test_operators_build_what_the_constructor_builds(self, a, b, op):
+        num, den = self._PARTS[op](a, b)
+        try:
+            expected = Ratio(num, den)
+        except RatioOverflowError as error:
+            with pytest.raises(RatioOverflowError) as raised:
+                op(a, b)
+            assert str(raised.value) == str(error)
+        else:
+            result = op(a, b)
+            assert type(result) is Ratio
+            assert (result.num, result.den) == (expected.num, expected.den)
+            assert hash(result) == hash(expected)
 
 
 class TestProtocol:

@@ -1,7 +1,9 @@
 """Mean-generator closure: single passes, fixpoints, traces, confluence."""
 
+import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -164,6 +166,61 @@ class TestGenerateMeans:
                 generate_means(pair, config)
             with pytest.raises(RatioOverflowError):
                 mean_closure(pair, config)
+
+
+# (q + 1)/q and (2q - 1)/q, q = 2^127 - 1: their arithmetic mean 3q^2/2q^2
+# reduces to 3/2 in generation 1; in generation 2 the mean (5q + 2)/4q of
+# (q + 1)/q and 3/2 has a 130-bit numerator.
+_Q = 2**127 - 1
+_OVERFLOWS_IN_GENERATION_2 = Scale("wide", [Ratio(_Q + 1, _Q), Ratio(2 * _Q - 1, _Q)])
+
+
+class TestOverflowContext:
+    def test_closure_names_the_generation_pair_and_kind(self):
+        with pytest.raises(RatioOverflowError) as raised:
+            mean_closure(_OVERFLOWS_IN_GENERATION_2)
+        assert str(raised.value) == (
+            f"generation 2: ratio part exceeds 128 bits, "
+            f"at the arithmetic mean of {_Q + 1}/{_Q} and 3/2"
+        )
+
+    def test_a_harmonic_overflow_names_its_kind(self):
+        # mean_harmonic forms a*b before it divides; this seed pair's
+        # product passes the guard
+        seed = pythagorean_by_diapente(40)
+        cfg = GeneratorConfig(kinds=frozenset({MeanKind.HARMONIC}), restriction=THREE_LIMIT)
+        with pytest.raises(RatioOverflowError, match=r"^generation 1: ratio part exceeds 128 "
+                           r"bits, at the harmonic mean of \d+/\d+ and \d+/\d+$"):
+            mean_closure(seed, cfg)
+
+    def test_one_pass_names_the_pair_and_kind(self):
+        seed = Scale("pair", [Ratio(_Q + 1, _Q), Ratio(3, 2)])
+        with pytest.raises(RatioOverflowError) as raised:
+            generate_means(seed, GeneratorConfig())
+        assert str(raised.value) == (
+            f"ratio part exceeds 128 bits, at the arithmetic mean of {_Q + 1}/{_Q} and 3/2"
+        )
+
+
+class TestTraceDigests:
+    """SHA-256 of the JSON trace of two closures that no golden covers:
+    every tone, generation split and witness stays as it was."""
+
+    @pytest.mark.parametrize(
+        "name,primes,kinds,tones,digest",
+        [
+            ("T5", (2, 3, 5, 7), "AH", 150,
+             "cf730fe5c59826149589b553c8c1f7aad5d22fe869512938a6a69cf5bb88d247"),
+            ("T", (2, 3, 5, 7, 11), "A", 182,
+             "11deb6deb70402e0722cfae318b567543134ce2ad4b63f13d3c9382763b744e5"),
+        ],
+        ids=["T5-7-AH", "T-11-A"],
+    )
+    def test_digest(self, name, primes, kinds, tones, digest):
+        trace = mean_closure(canonical(name), _grid_config(primes, kinds))
+        assert trace.fixpoint_reached
+        assert len(trace.final) == tones
+        assert hashlib.sha256(json.dumps(trace.to_json_dict()).encode()).hexdigest() == digest
 
 
 class TestClosureFromTavoletta:
@@ -533,6 +590,46 @@ class TestEachPairOnce:
         )
         assert certified is True
         assert calls == 2 * _pair_means(len(mean_closure(canonical(name), config).final), config)
+
+
+def _lt_calls(run):
+    """What `run()` returns, and how many times it called Ratio.__lt__."""
+    calls = 0
+    less_than = Ratio.__lt__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return less_than(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ratio, "__lt__", counted)
+        result = run()
+    return result, calls
+
+
+class TestMergeNotResort:
+    """Each pass merges its sorted new tones into the sorted set.  With n
+    tones after a generation of m, sorting the m and merging them costs
+    at most 2n + m·ceil(log2 n) comparisons, and the final Scale checks
+    its n - 1 neighbours.  Re-sorting the whole set every pass took
+    5,359 comparisons for T5-7-AH and 17,215 for T-11-A; this bound is
+    2,525 and 6,888."""
+
+    @pytest.mark.parametrize(
+        "name,primes,kinds",
+        [("T5", (2, 3, 5, 7), "AH"), ("T", (2, 3, 5, 7, 11), "A")],
+        ids=["T5-7-AH", "T-11-A"],
+    )
+    def test_closure(self, name, primes, kinds):
+        seed, config = canonical(name), _grid_config(primes, kinds)
+        trace, calls = _lt_calls(lambda: mean_closure(seed, config))
+        n, bound = len(seed), len(trace.final) - 1
+        for generation in trace.generations:
+            m = len(generation.added)
+            n += m
+            bound += 2 * n + m * math.ceil(math.log2(n))
+        assert calls <= bound
 
 
 def full_rescan_certify(seed, config, trials, rng_seed):
