@@ -6,7 +6,7 @@ fixpoint) or a generation cap intervenes.  The whole run is recorded as
 a ClosureTrace: per-generation additions, each with one witnessing pair,
 plus the final scale.  Batch passes are an implementation choice — the
 one-tone-at-a-time variant provably lands on the same fixpoint, and
-`closure_order_independence` checks the two conditions of that proof.
+`closure_order_independence` checks the trace as the proof of that.
 
 Passes are semi-naive (Bancilhon & Ramakrishnan, 1986): each scans
 only the pairs that hold a fresh tone, where the first pass takes every
@@ -28,8 +28,8 @@ has three callers.  `mean_closure` keeps one sorted list, merges each
 generation's sorted tones into it and passes that generation as fresh;
 for each mean not yet in the set it keeps the first pair and kind that
 yield it: the least witness.  `generate_means` collects the means of a
-full scan.  `closure_order_independence` needs only values: it fills
-its table of ranks from one full scan of the fixpoint's tones.  The
+full scan.  `closure_order_independence` checks a trace's closedness
+and each tone's generation against one full scan of its fixpoint.  The
 kernel decides an arithmetic mean (ps + rq)/2qs of p/q and r/s on its
 integer parts and builds a Ratio only for a mean it keeps.  It divides
 both by their gcd before `is_smooth`'s test, so that a prime outside
@@ -234,19 +234,19 @@ def closure_order_independence(
     """Certify that insertion order cannot change the fixpoint.
 
     Let L be the least set that holds the seed tones and is closed under
-    in-limit means.  A closure that inserts one mean at a time inserts
-    only means of tones it holds, so it never leaves L; it stops only
-    when its set is closed, so it stops exactly at L.  Every insertion
-    order thus ends on L, and the batch fixpoint is certified when it is
-    closed and one insertion pass from the seed reaches all of it.  The
-    batch closure must terminate; `trials` must be >= 0, and 0 checks
-    closedness alone.  `rng_seed` does not affect the answer.
-
-    Each Ratio mean is computed at most once per call: one full scan of
-    the pair kernel fills table[i][j] with the ranks of the in-limit
-    means of the fixpoint's tones i and j, and the first mean missing
-    from the fixpoint returns False at once.  The pass runs on ranks:
-    inserting rank r adds table[r][k] for each rank k already reached.
+    in-limit means.  A closure that inserts one mean at a time never
+    leaves L and stops only on a closed set, so every insertion order
+    ends on L.  The batch trace certifies that its final set F is L; in
+    it a seed tone is born in generation 0, a tone added by pass g in
+    generation g.  One full scan of F's pairs checks that F is
+    - closed: every in-limit mean lies in F (else False at once), so F holds L;
+    - witnessed: each added tone is the mean of a scanned pair born
+      strictly earlier, so by induction on birth each lies in L;
+    - accounted for: F is the seed plus the added tones, so F lies in L.
+    The stored witnesses are not trusted, and a wrong generation split
+    certifies nothing.  The batch closure must terminate; `trials` must
+    be >= 0, and 0 checks closedness alone.  `rng_seed` does not affect
+    the answer.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -254,18 +254,16 @@ def closure_order_independence(
     if not batch.fixpoint_reached:
         raise ValueError("batch closure hit the generation cap; no fixpoint to certify")
     tones = batch.final.tones
-    rank = {tone: i for i, tone in enumerate(tones)}
-    table: list[list[tuple[int, ...]]] = [[()] * len(tones) for _ in tones]
+    final = set(tones)
+    birth = dict.fromkeys(seed.tones, 0)
+    for g, generation in enumerate(batch.generations, 1):
+        birth.update(dict.fromkeys(generation.added, g))
+    unwitnessed = set(batch.added_tones())
     for a, b, _, mean in _in_limit_means(tones, config, tones):
-        if mean not in rank:
+        if mean not in final:
             return False
-        i, j = rank[a], rank[b]
-        table[i][j] = table[j][i] = table[i][j] + (rank[mean],)
-    reached: set[int] = set()
-    pending = {rank[tone] for tone in seed.tones}
-    while pending:
-        r = pending.pop()
-        row = table[r]
-        pending.update(m for k in reached for m in row[k] if m not in reached)
-        reached.add(r)
-    return trials == 0 or len(reached) == len(tones)
+        if mean in unwitnessed:
+            born = birth[mean]  # a tone outside the trace witnesses nothing
+            if birth.get(a, born) < born and birth.get(b, born) < born:
+                unwitnessed.discard(mean)
+    return trials == 0 or (not unwitnessed and birth.keys() == final)

@@ -21,6 +21,7 @@ from diapason.exact import (
 )
 from diapason.generator import (
     ClosureTrace,
+    Generation,
     GeneratorConfig,
     Witness,
     closure_order_independence,
@@ -405,35 +406,49 @@ class TestConfluence:
             closure_order_independence(canonical("T"), GeneratorConfig(), trials=-3)
 
     @staticmethod
-    def _certify_against(monkeypatch, edit_final):
-        """Certify T against a batch closure whose final scale `edit_final`
-        changed: the certifier's answer, then the reference's."""
-        real = generator.mean_closure
+    def _certify_against(edit):
+        """Certify T against a batch closure whose trace `edit` changed:
+        the certifier's answer, then the reference's."""
+        return certify_edited(canonical("T"), GeneratorConfig(), 3, 0, edit)
 
-        def edited_closure(seed, config):
-            trace = real(seed, config)
-            final = Scale(trace.final.name, sorted(edit_final(set(trace.final))))
-            return ClosureTrace(trace.seed, trace.generations, trace.fixpoint_reached, final)
-
-        monkeypatch.setattr(generator, "mean_closure", edited_closure)
-        seed, config = canonical("T"), GeneratorConfig()
-        return (
-            closure_order_independence(seed, config, trials=3),
-            full_rescan_certify(seed, config, trials=3, rng_seed=0),
-        )
-
-    def test_a_set_that_is_not_closed_fails(self, monkeypatch):
+    def test_a_set_that_is_not_closed_fails(self):
         # 81/64, the arithmetic mean of 9/8 and 45/32, is left out; every
         # other tone of SN1 is still reached without it
-        got = self._certify_against(monkeypatch, lambda tones: tones - {Ratio(81, 64)})
+        got = self._certify_against(lambda t: with_final(t, set(t.final) - {Ratio(81, 64)}))
         assert got == (False, False)
 
-    def test_an_unreachable_tone_fails(self, monkeypatch):
+    def test_an_unreachable_tone_fails(self):
         # 135/128 is 5-limit, and its arithmetic mean with every tone of
         # SN1 is either in SN1 or outside the limit: the set stays closed,
         # but no insertion order reaches it
-        got = self._certify_against(monkeypatch, lambda tones: tones | {Ratio(135, 128)})
+        got = self._certify_against(lambda t: with_final(t, set(t.final) | {Ratio(135, 128)}))
         assert got == (False, False)
+
+    def test_a_trace_cut_short_fails(self):
+        # without its last generation (81/64) the trace still accounts for
+        # its final set and witnesses every tone, but that set is not closed
+        def cut(trace):
+            *kept, last = trace.generations
+            trace = ClosureTrace(trace.seed, tuple(kept), trace.fixpoint_reached, trace.final)
+            return with_final(trace, set(trace.final) - set(last.added))
+
+        assert self._certify_against(cut) == (False, False)
+
+    def test_a_wrong_generation_split_fails(self):
+        # The certificate is the trace, so a wrong generation split
+        # certifies nothing, even around the right final set.  Merged into
+        # generation 1, 9/8 is born with 5/4, and A(1, 5/4) is the only
+        # pair that yields it; the reference reads only the final set.
+        def merge_first_two(trace):
+            first, second, *rest = trace.generations
+            assert second.added == (Ratio(9, 8),)
+            merged = Generation(
+                tuple(sorted(first.added + second.added)),
+                tuple(sorted(first.witnesses + second.witnesses)),
+            )
+            return ClosureTrace(trace.seed, (merged, *rest), trace.fixpoint_reached, trace.final)
+
+        assert self._certify_against(merge_first_two) == (False, True)
 
 
 class TestClosureInvariants:
@@ -583,7 +598,7 @@ class TestEachPairOnce:
         ids=["NATURAL-5-A", "T-5-AH", "T-7-A"],
     )
     def test_certifier(self, name, primes, kinds):
-        # once in the batch closure, once for the table; the reachability pass computes none
+        # once in the batch closure, once in the certifier's scan of the fixpoint
         config = _grid_config(primes, kinds)
         certified, calls = _mean_calls(
             lambda: closure_order_independence(canonical(name), config, trials=5)
@@ -666,6 +681,27 @@ def test_certifier_answers_as_full_rescan(seed, config, trials, rng_seed):
     assert certified is full_rescan_certify(seed, config, trials, rng_seed) is True
 
 
+def with_final(trace, tones):
+    """`trace` with the final scale's tones replaced by `tones`."""
+    final = Scale(trace.final.name, sorted(tones))
+    return ClosureTrace(trace.seed, trace.generations, trace.fixpoint_reached, final)
+
+
+def certify_edited(seed, config, trials, rng_seed, edit):
+    """The certifier's answer, then the reference's, when the batch
+    closure returns `edit(trace)` instead of its trace."""
+    real = generator.mean_closure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "mean_closure", lambda seed, config: edit(real(seed, config)))
+        return (
+            closure_order_independence(seed, config, trials, rng_seed),
+            full_rescan_certify(seed, config, trials, rng_seed),
+        )
+
+
+_FOREIGN = [Ratio(135, 128), Ratio(81, 80), Ratio(7, 5), Ratio(25, 24), Ratio(16, 15)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.sets(st.sampled_from(SEED_POOL), min_size=2, max_size=5).map(sorted),
@@ -673,14 +709,28 @@ def test_certifier_answers_as_full_rescan(seed, config, trials, rng_seed):
     st.sets(st.sampled_from(MeanKind), min_size=1),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
+    st.data(),
 )
-def test_certifier_answers_as_full_rescan_on_any_config(seed, primes, kinds, trials, rng_seed):
+def test_certifier_answers_as_full_rescan_on_any_config(
+    seed, primes, kinds, trials, rng_seed, data
+):
     # seed tones may lie outside the limit (7/4, 7/6, 8/7 under 5); the
-    # cap keeps the cubic full rescan to small fixpoints
+    # cap keeps the cubic full rescan to small fixpoints.  The final set
+    # is kept, loses one added tone or gains one foreign tone, so both
+    # answers come up.
     config = GeneratorConfig(
         kinds=kinds, restriction=Restriction(primes), max_generations=MAX_GENERATIONS
     )
     scale = Scale("seed", [Ratio(t.numerator, t.denominator) for t in seed])
-    assume(mean_closure(scale, config).fixpoint_reached)
-    certified = closure_order_independence(scale, config, trials, rng_seed)
-    assert certified is full_rescan_certify(scale, config, trials, rng_seed)
+    trace = mean_closure(scale, config)
+    assume(trace.fixpoint_reached)
+    tones = set(trace.final)
+    edit = data.draw(st.sampled_from(["keep", "drop", "add"]))
+    if edit == "drop" and trace.generations:
+        tones.remove(data.draw(st.sampled_from(trace.added_tones())))
+    elif edit == "add":
+        tones.add(data.draw(st.sampled_from(_FOREIGN)))
+    certified, reference = certify_edited(
+        scale, config, trials, rng_seed, lambda t: with_final(t, tones)
+    )
+    assert certified is reference
