@@ -30,12 +30,18 @@ for each mean not yet in the set it keeps the first pair and kind that
 yield it: the least witness.  `generate_means` collects the means of a
 full scan.  `closure_order_independence` checks a trace's closedness
 and each tone's generation against one full scan of its fixpoint.  The
-kernel decides an arithmetic mean (ps + rq)/2qs of p/q and r/s on its
-integer parts and builds a Ratio only for a mean it keeps.  It divides
-both by their gcd before `is_smooth`'s test, so that a prime outside
-the limit that they share (a seed tone outside the limit can make one)
-cancels.  A RatioOverflowError names the pair and kind that raised it,
-and in a closure its generation.
+kernel decides the arithmetic mean (ps + rq)/2qs and the harmonic mean
+2pr/(ps + rq) of p/q and r/s on their integer parts, forming ps + rq
+once for both, and builds a Ratio only for a mean it keeps.  It divides
+each mean's parts by their gcd before `is_smooth`'s test, so that a
+prime outside the limit that they share (a seed tone outside the limit
+can make one) cancels.  Tones lie in [1, 2], so q <= p and s <= r, and
+every intermediate of `means.mean_harmonic` (pr, qs, 2pr, ps + rq) is
+at most 2pr: while 2pr is within the 128-bit guard, the integer parts
+decide exactly what that function would.  Past it the kernel calls
+`mean_harmonic`, which raises or returns as the Ratio arithmetic does.
+A RatioOverflowError names the pair and kind that raised it, and in a
+closure its generation.
 """
 
 from __future__ import annotations
@@ -146,13 +152,16 @@ def _in_limit_means(
     objects: the walk matches it by identity, with no hashing.  Pairs
     come in lexicographic order and kinds alphabetically, so the first
     pair and kind to yield a mean are its least witness.  A full scan
-    passes `ordered` itself as fresh.  A RatioOverflowError names the
-    pair and kind that raised it.
+    passes `ordered` itself as fresh.  Arithmetic and harmonic means are
+    decided on integer parts; a harmonic mean whose 2pr passes the
+    128-bit guard comes from `mean_harmonic`, which raises where its
+    Ratio arithmetic overflows.  A RatioOverflowError names the pair and
+    kind that raised it.
     """
     rad = config.restriction._radical
     arithmetic = MeanKind.ARITHMETIC in config.kinds
-    others = [(kind, mean_geometric if kind is MeanKind.GEOMETRIC else mean_harmonic)
-              for kind in sorted(config.kinds - {MeanKind.ARITHMETIC}, key=lambda k: k.value)]
+    geometric = MeanKind.GEOMETRIC in config.kinds
+    harmonic = MeanKind.HARMONIC in config.kinds
     fresh_seen = 0  # fresh[:fresh_seen] lie at or below a
     fresh_count = len(fresh)
     try:
@@ -164,9 +173,11 @@ def _in_limit_means(
                 partners = fresh[fresh_seen:]  # the fresh tones above a
             p, q = a.num, a.den
             for b in partners:
+                r, s = b.num, b.den
+                total = p * s + r * q  # ps + rq: A's numerator, H's denominator
                 if arithmetic:
                     # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
-                    num, den = p * b.den + b.num * q, 2 * q * b.den
+                    num, den = total, 2 * q * s
                     g = gcd(num, den)
                     num, den = num // g, den // g
                     if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
@@ -174,12 +185,25 @@ def _in_limit_means(
                         Ratio(num, den)  # raises RatioOverflowError
                     if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
                         yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
-                for kind, mean_of in others:
-                    if (mean := mean_of(a, b)) is None:
-                        continue  # an irrational geometric mean
+                if geometric and (mean := mean_geometric(a, b)) is not None:
+                    # never overflows: the root's parts are no larger than a's and b's
                     num, den = mean.num, mean.den
                     if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                        yield a, b, kind, mean
+                        yield a, b, MeanKind.GEOMETRIC, mean
+                if harmonic:
+                    # H = 2pr / (ps + rq).  Tones lie in [1, 2], so q <= p and
+                    # s <= r: qs <= pr and ps + rq <= 2pr, and while 2pr is within
+                    # the guard no intermediate of means.mean_harmonic can pass it.
+                    num = 2 * p * r
+                    if num > MAGNITUDE_LIMIT:
+                        kind = MeanKind.HARMONIC
+                        mean = mean_harmonic(a, b)  # raises where its a * b overflows
+                        num, den = mean.num, mean.den
+                    else:
+                        g = gcd(num, total)
+                        num, den = num // g, total // g
+                    if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                        yield a, b, MeanKind.HARMONIC, Ratio(num, den)
     except RatioOverflowError as error:
         context = f"at the {kind.name.lower()} mean of {a} and {b}"
         raise RatioOverflowError(f"{error}, {context}") from error

@@ -57,6 +57,8 @@ ERRORS = (
     "closure T --primes 3,5",
     "closure T --kinds A,Q",
     "closure T --kinds ,",
+    "closure pythagorean:steps=40 --primes 2,3 --kinds H",
+    "table pythagorean:steps=40 --kind H --primes 2,3",
 )
 ARGVS = (*(f"{line} --format {fmt}" for fmt in FORMATS for line in PER_FORMAT), *ERRORS)
 
