@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .exact import FIVE_LIMIT, Ratio, RatioOverflowError, Restriction, _Record, exponents, is_smooth
+from .exact import FIVE_LIMIT, Ratio, Restriction, _Record, exponents, is_smooth
 from .means import MeanKind, mean_of_kind
 from .scales import Scale, cents, reduce_to_diapason, step_intervals
 
@@ -57,7 +57,7 @@ def mean_table(
     Cells come back in row-major order over the scale's tone ordering.
     Arithmetic is the default; harmonic is accepted for the dual table.
     The geometric mean is almost never rational, so it gets no table.
-    A RatioOverflowError names the pair and kind that raised it.
+    A RatioOverflowError from `mean_of_kind` names the pair and kind.
     """
     if kind is MeanKind.GEOMETRIC:
         raise ValueError("geometric means are irrational almost everywhere; no table")
@@ -66,11 +66,7 @@ def mean_table(
     cells = []
     for i, row in enumerate(scale.tones):
         for col in scale.tones[i + 1 :]:
-            try:
-                mean = mean_of_kind(row, col, kind)
-            except RatioOverflowError as error:
-                context = f"at the {kind.name.lower()} mean of {row} and {col}"
-                raise RatioOverflowError(f"{error}, {context}") from error
+            mean = mean_of_kind(row, col, kind)
             assert mean is not None
             if mean in scale:
                 klass = TableClass.IN_SCALE

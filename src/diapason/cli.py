@@ -17,7 +17,7 @@ import io
 import json
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .analysis import INTERVAL_NAMES, TableClass, compare_to_equal, interval_census, mean_table
 from .exact import Ratio, RatioOverflowError, Restriction

@@ -115,7 +115,7 @@ class Ratio:
         # already exceeds the limit when (b-1)*|exponent| does.
         bits = max(self.num.bit_length(), self.den.bit_length())
         if (bits - 1) * abs(exponent) > MAGNITUDE_LIMIT.bit_length():
-            raise RatioOverflowError("power exceeds the magnitude limit")
+            raise RatioOverflowError(_OVERFLOW_MESSAGE)
         if exponent >= 0:
             return Ratio(self.num**exponent, self.den**exponent)
         return Ratio(self.den**-exponent, self.num**-exponent)

@@ -22,26 +22,14 @@ outside the prime limit.
 
 One kernel, `_in_limit_means`, yields each in-limit mean of the pairs
 of a sorted tone list that hold a fresh tone, with its pair and kind.
-The fresh tones come as a sorted sub-sequence of that list holding the
-same objects, which the kernel matches by identity, not by hash.  It
-has three callers.  `mean_closure` keeps one sorted list, merges each
+It has three callers.  `mean_closure` keeps one sorted list, merges each
 generation's sorted tones into it and passes that generation as fresh;
 for each mean not yet in the set it keeps the first pair and kind that
 yield it: the least witness.  `generate_means` collects the means of a
 full scan.  `closure_order_independence` checks a trace's closedness
-and each tone's generation against one full scan of its fixpoint.  The
-kernel decides the arithmetic mean (ps + rq)/2qs and the harmonic mean
-2pr/(ps + rq) of p/q and r/s on their integer parts, forming ps + rq
-once for both, and builds a Ratio only for a mean it keeps.  It divides
-each mean's parts by their gcd before `is_smooth`'s test, so that a
-prime outside the limit that they share (a seed tone outside the limit
-can make one) cancels.  Tones lie in [1, 2], so q <= p and s <= r, and
-every intermediate of `means.mean_harmonic` (pr, qs, 2pr, ps + rq) is
-at most 2pr: while 2pr is within the 128-bit guard, the integer parts
-decide exactly what that function would.  Past it the kernel calls
-`mean_harmonic`, which raises or returns as the Ratio arithmetic does.
-A RatioOverflowError names the pair and kind that raised it, and in a
-closure its generation.
+and each tone's generation against one full scan of its fixpoint.  A
+RatioOverflowError is named by `means.mean_of_kind`, with its pair and
+kind; a closure adds its generation.
 """
 
 from __future__ import annotations
@@ -51,7 +39,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from math import gcd
 
 from .exact import FIVE_LIMIT, MAGNITUDE_LIMIT, Ratio, RatioOverflowError, Restriction, _Record
-from .means import MeanKind, mean_geometric, mean_harmonic
+from .means import MeanKind, mean_geometric, mean_of_kind
 from .scales import Scale
 
 __all__ = [
@@ -152,11 +140,15 @@ def _in_limit_means(
     objects: the walk matches it by identity, with no hashing.  Pairs
     come in lexicographic order and kinds alphabetically, so the first
     pair and kind to yield a mean are its least witness.  A full scan
-    passes `ordered` itself as fresh.  Arithmetic and harmonic means are
-    decided on integer parts; a harmonic mean whose 2pr passes the
-    128-bit guard comes from `mean_harmonic`, which raises where its
-    Ratio arithmetic overflows.  A RatioOverflowError names the pair and
-    kind that raised it.
+    passes `ordered` itself as fresh.
+
+    Means A = (ps + rq)/2qs and H = 2pr/(ps + rq) of p/q and r/s are
+    decided on integer parts divided by their gcd, so that a prime
+    outside the limit that both parts hold cancels, and a Ratio is built
+    only for a kept mean.  Tones lie in [1, 2], so every intermediate of
+    `means.mean_harmonic` is at most 2pr.  Past the 128-bit guard the
+    kernel calls `mean_of_kind`, which raises, naming the pair and kind,
+    exactly where that mean's Ratio arithmetic overflows.
     """
     rad = config.restriction._radical
     arithmetic = MeanKind.ARITHMETIC in config.kinds
@@ -164,49 +156,44 @@ def _in_limit_means(
     harmonic = MeanKind.HARMONIC in config.kinds
     fresh_seen = 0  # fresh[:fresh_seen] lie at or below a
     fresh_count = len(fresh)
-    try:
-        for i, a in enumerate(ordered):
-            if fresh_seen < fresh_count and a is fresh[fresh_seen]:
-                fresh_seen += 1
-                partners = ordered[i + 1 :]
-            else:
-                partners = fresh[fresh_seen:]  # the fresh tones above a
-            p, q = a.num, a.den
-            for b in partners:
-                r, s = b.num, b.den
-                total = p * s + r * q  # ps + rq: A's numerator, H's denominator
-                if arithmetic:
-                    # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
-                    num, den = total, 2 * q * s
-                    g = gcd(num, den)
-                    num, den = num // g, den // g
-                    if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
-                        kind = MeanKind.ARITHMETIC
-                        Ratio(num, den)  # raises RatioOverflowError
-                    if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                        yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
-                if geometric and (mean := mean_geometric(a, b)) is not None:
-                    # never overflows: the root's parts are no larger than a's and b's
+    for i, a in enumerate(ordered):
+        if fresh_seen < fresh_count and a is fresh[fresh_seen]:
+            fresh_seen += 1
+            partners = ordered[i + 1 :]
+        else:
+            partners = fresh[fresh_seen:]  # the fresh tones above a
+        p, q = a.num, a.den
+        for b in partners:
+            r, s = b.num, b.den
+            total = p * s + r * q  # ps + rq: A's numerator, H's denominator
+            if arithmetic:
+                # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
+                num, den = total, 2 * q * s
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
+                    mean_of_kind(a, b, MeanKind.ARITHMETIC)  # raises, naming the pair
+                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                    yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
+            if geometric and (mean := mean_geometric(a, b)) is not None:
+                # never overflows: the root's parts are no larger than a's and b's
+                num, den = mean.num, mean.den
+                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                    yield a, b, MeanKind.GEOMETRIC, mean
+            if harmonic:
+                # H = 2pr / (ps + rq).  Tones lie in [1, 2], so q <= p and
+                # s <= r: qs <= pr and ps + rq <= 2pr, and while 2pr is within
+                # the guard no intermediate of means.mean_harmonic can pass it.
+                num = 2 * p * r
+                if num > MAGNITUDE_LIMIT:
+                    # raises, naming the pair, where mean_harmonic's a * b overflows
+                    mean = mean_of_kind(a, b, MeanKind.HARMONIC)
                     num, den = mean.num, mean.den
-                    if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                        yield a, b, MeanKind.GEOMETRIC, mean
-                if harmonic:
-                    # H = 2pr / (ps + rq).  Tones lie in [1, 2], so q <= p and
-                    # s <= r: qs <= pr and ps + rq <= 2pr, and while 2pr is within
-                    # the guard no intermediate of means.mean_harmonic can pass it.
-                    num = 2 * p * r
-                    if num > MAGNITUDE_LIMIT:
-                        kind = MeanKind.HARMONIC
-                        mean = mean_harmonic(a, b)  # raises where its a * b overflows
-                        num, den = mean.num, mean.den
-                    else:
-                        g = gcd(num, total)
-                        num, den = num // g, total // g
-                    if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                        yield a, b, MeanKind.HARMONIC, Ratio(num, den)
-    except RatioOverflowError as error:
-        context = f"at the {kind.name.lower()} mean of {a} and {b}"
-        raise RatioOverflowError(f"{error}, {context}") from error
+                else:
+                    g = gcd(num, total)
+                    num, den = num // g, total // g
+                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                    yield a, b, MeanKind.HARMONIC, Ratio(num, den)
 
 
 def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
@@ -233,7 +220,8 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
         found: dict[Ratio, Witness] = {}
         try:
             for a, b, kind, mean in _in_limit_means(ordered, config, fresh):
-                if mean not in current and mean not in found:
+                if mean not in current:
+                    current.add(mean)
                     found[mean] = Witness(mean, a, b, kind)
         except RatioOverflowError as error:
             raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
@@ -242,7 +230,6 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
             break
         added = tuple(sorted(found))
         generations.append(Generation(added, tuple(found[t] for t in added)))
-        current.update(added)
         ordered = sorted(ordered + list(added))  # Timsort merges the two sorted runs
         fresh = added
     final = Scale(f"{seed.name}-closure", ordered)

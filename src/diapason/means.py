@@ -5,13 +5,14 @@ computed exactly.  The geometric mean usually is not: it comes back as
 None then, and every predicate that involves it works on squares so no
 floating point sneaks into an exactness decision.  The string-length/
 frequency duality is the identity 1/H(a, b) = A(1/a, 1/b).
+`mean_of_kind` alone names a mean that overflows: its kind and its pair.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .exact import TWO, Ratio, _sqrt_of_parts
+from .exact import TWO, Ratio, RatioOverflowError, _sqrt_of_parts
 
 __all__ = [
     "MeanKind",
@@ -51,13 +52,22 @@ def mean_geometric(a: Ratio, b: Ratio) -> Ratio | None:
 
 
 def mean_of_kind(a: Ratio, b: Ratio, kind: MeanKind) -> Ratio | None:
-    """The exact mean of the given kind, or None (geometric, irrational case)."""
-    if kind is MeanKind.ARITHMETIC:
-        return mean_arithmetic(a, b)
-    if kind is MeanKind.HARMONIC:
-        return mean_harmonic(a, b)
-    if kind is MeanKind.GEOMETRIC:
-        return mean_geometric(a, b)
+    """The exact mean of the given kind, or None (geometric, irrational case).
+
+    A RatioOverflowError is raised again with ", at the <kind> mean of
+    <a> and <b>" appended; the closure kernel and the mean table call
+    this to name their overflows.
+    """
+    try:
+        if kind is MeanKind.ARITHMETIC:
+            return mean_arithmetic(a, b)
+        if kind is MeanKind.HARMONIC:
+            return mean_harmonic(a, b)
+        if kind is MeanKind.GEOMETRIC:
+            return mean_geometric(a, b)
+    except RatioOverflowError as error:
+        context = f"at the {kind.name.lower()} mean of {a} and {b}"
+        raise RatioOverflowError(f"{error}, {context}") from error
     raise TypeError(f"not a MeanKind: {kind!r}")
 
 

@@ -172,11 +172,14 @@ class TestOverflow:
             big * big
 
     def test_pow_overflow(self):
-        with pytest.raises(RatioOverflowError):
+        with pytest.raises(RatioOverflowError) as raised:
             Ratio(2) ** 129
-        # the same guard fires early for exponents that would be huge
-        with pytest.raises(RatioOverflowError):
+        assert str(raised.value) == "ratio part exceeds 128 bits"
+        # the same guard fires early for exponents that would be huge,
+        # in the same words
+        with pytest.raises(RatioOverflowError) as raised:
             Ratio(3, 2) ** 100000
+        assert str(raised.value) == "ratio part exceeds 128 bits"
 
     def test_overflow_is_arithmetic_error(self):
         assert issubclass(RatioOverflowError, ArithmeticError)

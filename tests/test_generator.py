@@ -30,7 +30,7 @@ from diapason.generator import (
 )
 from diapason.means import MeanKind, mean_of_kind
 from diapason.scales import Scale, canonical, pythagorean_by_diapente, reduce_to_diapason
-from test_oracle import MAX_GENERATIONS, SEED_POOL, prime_sets
+from test_oracle import MAX_GENERATIONS, SEED_POOL, assert_dual_closures, mirror, prime_sets
 
 AH = frozenset({MeanKind.ARITHMETIC, MeanKind.HARMONIC})
 
@@ -168,16 +168,18 @@ class TestGenerateMeans:
     def test_a_pair_yields_its_means_in_the_limit(self, pair, primes, kinds):
         # Each mean built as a Ratio, then tested by is_smooth: the kernel's
         # decision on integer parts must agree with it, and it must raise
-        # exactly when building a mean raises.
+        # exactly what building the means in the kernel's kind order raises.
         config = GeneratorConfig(kinds=kinds, restriction=Restriction(primes))
         a, b = sorted(pair)
         seed = Scale("pair", [a, b])
         try:
-            means = {mean_of_kind(a, b, kind) for kind in kinds} - {None}
-        except RatioOverflowError:
-            with pytest.raises(RatioOverflowError):
+            means = {mean_of_kind(a, b, kind) for kind in sorted(kinds, key=lambda k: k.value)}
+        except RatioOverflowError as error:
+            with pytest.raises(RatioOverflowError) as raised:
                 generate_means(seed, config)
+            assert str(raised.value) == str(error)
             return
+        means.discard(None)
         expected = {m for m in means if is_smooth(m, config.restriction)}
         assert generate_means(seed, config) == expected
 
@@ -584,12 +586,40 @@ class TestSemiNaiveMatchesFullRescan:
                 assert w.a in fresh or w.b in fresh
 
 
+_OCTAVE = Scale("octave", [ONE, Ratio(2)])
+_ALL_KIND_SETS = ("A", "G", "H", "AG", "AH", "GH", "AGH")
+_DUALITY_PRIMES = [(2, 3), (2, 3, 5), (2, 3, 5, 7)]
+
+
+class TestDuality:
+    """iota(t) = 2/t swaps the arithmetic and harmonic closures.  The
+    wide seed pythagorean:steps=40 is left out: under H it overflows in
+    mean_harmonic's a*b while its A dual reaches a fixpoint, so it joins
+    when mean_harmonic is mended (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize("kinds", _ALL_KIND_SETS)
+    @pytest.mark.parametrize("primes", _DUALITY_PRIMES, ids=["3", "5", "7"])
+    @pytest.mark.parametrize("name", ["octave", "T", "NATURAL", "SN2"])
+    def test_closures_mirror_each_other(self, name, primes, kinds):
+        seed = _OCTAVE if name == "octave" else canonical(name)
+        assert_dual_closures(seed, primes, {MeanKind(k) for k in kinds}, 8)
+
+    @pytest.mark.parametrize("kinds", ["AH", "G"])
+    @pytest.mark.parametrize("primes", _DUALITY_PRIMES, ids=["3", "5", "7"])
+    @pytest.mark.parametrize("seed", [_OCTAVE, canonical("T")], ids=["octave", "T"])
+    def test_a_symmetric_seed_has_a_symmetric_fixpoint(self, seed, primes, kinds):
+        trace = mean_closure(seed, _grid_config(primes, kinds))
+        assert trace.fixpoint_reached
+        assert mirror(trace.final.tones) == list(trace.final.tones)
+
+
 def _mean_calls(run):
     """What `run()` returns, and how many means it had the generator compute.
 
-    The kernel reduces each arithmetic mean with one `gcd` call and
-    calls `mean_geometric` or `mean_harmonic` for each other mean, so
-    those calls count every kind.
+    The kernel reduces each arithmetic mean, and each harmonic mean
+    within the guard, with one `gcd` call; it calls `mean_geometric` for
+    each geometric mean and `mean_of_kind` for a harmonic one past the
+    guard, so those calls count every kind.
     """
     calls = 0
 
@@ -602,7 +632,7 @@ def _mean_calls(run):
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("gcd", "mean_geometric", "mean_harmonic"):
+        for name in ("gcd", "mean_geometric", "mean_of_kind"):
             mp.setattr(generator, name, counting(getattr(generator, name)))
         result = run()
     return result, calls

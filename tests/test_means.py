@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from diapason.exact import ONE, TWO, Ratio
+from diapason.exact import ONE, TWO, Ratio, RatioOverflowError
 from diapason.means import (
     MeanKind,
     is_proportion,
@@ -72,6 +72,34 @@ class TestDispatch:
             mean_of_kind(ONE, Ratio(4), "A")
         with pytest.raises(TypeError, match="'A'"):
             is_proportion(ONE, TWO, Ratio(4), "A")
+
+
+class TestOverflowNamesThePair:
+    # pythagorean:steps=40's 3^40/2^63 and 3^41/2^64: mean_harmonic's a*b
+    # passes the 128-bit guard
+    A, B = Ratio(3**40, 2**63), Ratio(3**41, 2**64)
+    MESSAGE = (
+        "ratio part exceeds 128 bits, at the harmonic mean of "
+        "12157665459056928801/9223372036854775808 and "
+        "36472996377170786403/18446744073709551616"
+    )
+
+    def test_mean_of_kind(self):
+        with pytest.raises(RatioOverflowError) as raised:
+            mean_of_kind(self.A, self.B, MeanKind.HARMONIC)
+        assert str(raised.value) == self.MESSAGE
+        assert str(raised.value.__cause__) == "ratio part exceeds 128 bits"
+
+    def test_is_proportion(self):
+        with pytest.raises(RatioOverflowError) as raised:
+            is_proportion(self.A, self.A, self.B, MeanKind.HARMONIC)
+        assert str(raised.value) == self.MESSAGE
+
+    def test_the_mean_itself_stays_bare(self):
+        # the kind and the pair are mean_of_kind's to add
+        with pytest.raises(RatioOverflowError) as raised:
+            mean_harmonic(self.A, self.B)
+        assert str(raised.value) == "ratio part exceeds 128 bits"
 
 
 class TestIsProportion:

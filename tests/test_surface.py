@@ -72,6 +72,26 @@ def test_no_name_is_exported_twice():
             assert owners.setdefault(name, module) == module, (name, owners[name], module)
 
 
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's imports, `from __future__` left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    # `__init__` imports to re-export; every other module imports to use
+    path = Path(importlib.import_module(f"diapason.{module}").__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert _imported_names(tree) - used == set()
+
+
 @pytest.mark.parametrize("filename", BENCHMARK_FILES)
 def test_benchmark_imports_still_exist(filename):
     tree = ast.parse((ROOT / "diapbench" / filename).read_text(encoding="utf-8"))
