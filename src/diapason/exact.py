@@ -13,7 +13,9 @@ The smoothness test divides instead of factoring: n factors over the
 primes S exactly when n divides rad(S)^bit_length(n), rad(S) being the
 product of S, because no prime exponent of n reaches n's bit length
 (the criterion of batch smoothness detection; Bernstein, "How to find
-smooth parts of integers", 2004).
+smooth parts of integers", 2004).  Code that tests many parts below one
+bound 2^width instead builds one modulus, `_smooth_modulus`, that every
+smooth part below it divides.
 """
 
 from __future__ import annotations
@@ -326,6 +328,24 @@ def is_smooth(r: Ratio, restriction: Restriction) -> bool:
     rad = restriction._radical
     num, den = r.num, r.den
     return pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0
+
+
+def _smooth_modulus(primes, width: int) -> int:
+    """M, the product over `primes` of the largest power p^e < 2^width
+    (p itself when p >= 2^width): for 1 <= n < 2^width, n factors over
+    the primes exactly when M % n == 0.
+
+    Proof: each prime power p^e dividing such an n has p^e <= n < 2^width,
+    so it divides M exactly when p is one of the primes.
+    """
+    bound = 1 << width
+    modulus = 1
+    for p in primes:
+        power = p
+        while power * p < bound:
+            power *= p
+        modulus *= power
+    return modulus
 
 
 def exact_sqrt(r: Ratio) -> Ratio | None:

@@ -15,10 +15,18 @@ fresh-pair lemma makes that exact.  Pass g-1 scanned every pair of the
 set S it started from and added every admissible mean missing from S,
 so a tone first found in pass g has no witness inside S; each of its
 witnesses holds a tone added in generation g-1.  The fresh pairs are
-visited in sorted (a, b) order and kinds in sorted order, so the witness
-stored is the same least one a full rescan would store, and the
-generations come out identical for any seed, including seed tones
-outside the prime limit.
+visited in sorted (a, b) order, and a pair's means differ from each
+other, so the witness stored is the same least one a full rescan would
+store, and the generations come out identical for any seed, including
+seed tones outside the prime limit.
+
+One divisibility test decides most pairs.  For tones a = p/q < b = r/s
+inside the limit S, with b/a = y/x in lowest terms, A = a(x + y)/2x and
+H = a·2y/(x + y): both lie in S exactly when x + y is S-smooth (an
+S-unit equation x + y = z; de Weger, J. Number Theory 26, 1987), that
+is, on integer parts, exactly when ps + rq is.  Smoothness is tested as
+divisibility of one modulus per pass, `exact._smooth_modulus`, wide
+enough for every part the pass can form.
 
 One kernel, `_in_limit_means`, yields each in-limit mean of the pairs
 of a sorted tone list that hold a fresh tone, with its pair and kind.
@@ -37,8 +45,17 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from math import gcd
+from operator import itemgetter
 
-from .exact import FIVE_LIMIT, MAGNITUDE_LIMIT, Ratio, RatioOverflowError, Restriction, _Record
+from .exact import (
+    FIVE_LIMIT,
+    MAGNITUDE_LIMIT,
+    Ratio,
+    RatioOverflowError,
+    Restriction,
+    _Record,
+    _smooth_modulus,
+)
 from .means import MeanKind, mean_geometric, mean_of_kind
 from .scales import Scale
 
@@ -138,22 +155,34 @@ def _in_limit_means(
 
     `fresh` is a sorted sub-sequence of `ordered` holding the same
     objects: the walk matches it by identity, with no hashing.  Pairs
-    come in lexicographic order and kinds alphabetically, so the first
-    pair and kind to yield a mean are its least witness.  A full scan
-    passes `ordered` itself as fresh.
+    come in lexicographic order, so the first pair to yield a mean is
+    its least witness.  A full scan passes `ordered` itself as fresh.
 
     Means A = (ps + rq)/2qs and H = 2pr/(ps + rq) of p/q and r/s are
-    decided on integer parts divided by their gcd, so that a prime
-    outside the limit that both parts hold cancels, and a Ratio is built
-    only for a kept mean.  Tones lie in [1, 2], so every intermediate of
-    `means.mean_harmonic` is at most 2pr.  Past the 128-bit guard the
-    kernel calls `mean_of_kind`, which raises, naming the pair and kind,
-    exactly where that mean's Ratio arithmetic overflows.
+    decided on integer parts, and a Ratio is built only for a kept mean.
+    Tones lie in [1, 2], so q <= p and s <= r: 2pr bounds ps + rq, 2qs,
+    every reduced part and every intermediate of `means.mean_harmonic`.
+    A part below 2^width, width = 2·bits(widest part) + 2, is smooth
+    exactly when it divides the call's modulus `smooth`.
+
+    Every pair passes the guards first: past 2pr > 2^128 the kernel
+    calls `mean_of_kind` for A and H, which raises, naming the pair and
+    kind, exactly where that mean's Ratio arithmetic overflows.  Then a
+    pair of in-limit tones keeps A and H both or neither, on one test of
+    ps + rq (the module's lemma), and reduces by gcd only a kept mean.
+    A seed tone outside the limit breaks the lemma, since a prime that
+    both parts hold cancels: 8/7 and 13/7 have A = 147/98 = 3/2 under
+    {2, 3}.  A pair holding one decides each mean on its reduced parts.
     """
-    rad = config.restriction._radical
     arithmetic = MeanKind.ARITHMETIC in config.kinds
     geometric = MeanKind.GEOMETRIC in config.kinds
     harmonic = MeanKind.HARMONIC in config.kinds
+    # tones lie in [1, 2], so a numerator is a tone's widest part
+    widest = max([t.num for t in ordered])
+    wide = 2 * widest * widest > MAGNITUDE_LIMIT  # 2pr can pass the guard
+    width = 2 * widest.bit_length() + 2
+    smooth = _smooth_modulus(config.restriction.primes, width)
+    rough = {id(t) for t in ordered if smooth % t.num or smooth % t.den}  # seed tones only
     fresh_seen = 0  # fresh[:fresh_seen] lie at or below a
     fresh_count = len(fresh)
     for i, a in enumerate(ordered):
@@ -163,37 +192,33 @@ def _in_limit_means(
         else:
             partners = fresh[fresh_seen:]  # the fresh tones above a
         p, q = a.num, a.den
+        a_rough = rough and id(a) in rough
         for b in partners:
             r, s = b.num, b.den
             total = p * s + r * q  # ps + rq: A's numerator, H's denominator
-            if arithmetic:
-                # means.mean_arithmetic's formula, tested by exact.is_smooth's criterion
-                num, den = total, 2 * q * s
-                g = gcd(num, den)
-                num, den = num // g, den // g
-                if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
-                    mean_of_kind(a, b, MeanKind.ARITHMETIC)  # raises, naming the pair
-                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                    yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
+            if wide and 2 * p * r > MAGNITUDE_LIMIT:
+                for kind in (MeanKind.ARITHMETIC, MeanKind.HARMONIC):
+                    if kind in config.kinds:
+                        mean_of_kind(a, b, kind)  # raises, naming the pair, if the mean overflows
             if geometric and (mean := mean_geometric(a, b)) is not None:
                 # never overflows: the root's parts are no larger than a's and b's
-                num, den = mean.num, mean.den
-                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
+                if smooth % mean.num == 0 and smooth % mean.den == 0:
                     yield a, b, MeanKind.GEOMETRIC, mean
-            if harmonic:
-                # H = 2pr / (ps + rq).  Tones lie in [1, 2], so q <= p and
-                # s <= r: qs <= pr and ps + rq <= 2pr, and while 2pr is within
-                # the guard no intermediate of means.mean_harmonic can pass it.
-                num = 2 * p * r
-                if num > MAGNITUDE_LIMIT:
-                    # raises, naming the pair, where mean_harmonic's a * b overflows
-                    mean = mean_of_kind(a, b, MeanKind.HARMONIC)
-                    num, den = mean.num, mean.den
-                else:
+            # with a tone outside the limit the lemma fails: test each mean
+            rough_pair = a_rough or (rough and id(b) in rough)
+            if rough_pair or smooth % total == 0:
+                if arithmetic:
+                    den = 2 * q * s
+                    g = gcd(total, den)
+                    num, den = total // g, den // g
+                    if not rough_pair or (smooth % num == 0 and smooth % den == 0):
+                        yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
+                if harmonic:
+                    num = 2 * p * r
                     g = gcd(num, total)
                     num, den = num // g, total // g
-                if pow(rad, num.bit_length(), num) == 0 and pow(rad, den.bit_length(), den) == 0:
-                    yield a, b, MeanKind.HARMONIC, Ratio(num, den)
+                    if not rough_pair or (smooth % num == 0 and smooth % den == 0):
+                        yield a, b, MeanKind.HARMONIC, Ratio(num, den)
 
 
 def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
@@ -217,19 +242,20 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     fixpoint = False
     fresh: Sequence[Ratio] = ordered  # the first pass scans every pair
     for _ in range(config.max_generations):
-        found: dict[Ratio, Witness] = {}
+        found: list[Witness] = []  # novelty is decided by current
         try:
             for a, b, kind, mean in _in_limit_means(ordered, config, fresh):
                 if mean not in current:
                     current.add(mean)
-                    found[mean] = Witness(mean, a, b, kind)
+                    found.append(Witness(mean, a, b, kind))
         except RatioOverflowError as error:
             raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
         if not found:
             fixpoint = True
             break
-        added = tuple(sorted(found))
-        generations.append(Generation(added, tuple(found[t] for t in added)))
+        found.sort(key=itemgetter(0))
+        added = tuple([witness.tone for witness in found])
+        generations.append(Generation(added, tuple(found)))
         ordered = sorted(ordered + list(added))  # Timsort merges the two sorted runs
         fresh = added
     final = Scale(f"{seed.name}-closure", ordered)

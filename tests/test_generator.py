@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,7 +31,14 @@ from diapason.generator import (
 )
 from diapason.means import MeanKind, mean_of_kind
 from diapason.scales import Scale, canonical, pythagorean_by_diapente, reduce_to_diapason
-from test_oracle import MAX_GENERATIONS, SEED_POOL, assert_dual_closures, mirror, prime_sets
+from test_oracle import (
+    MAX_GENERATIONS,
+    SEED_POOL,
+    assert_dual_closures,
+    mirror,
+    oracle,
+    prime_sets,
+)
 
 AH = frozenset({MeanKind.ARITHMETIC, MeanKind.HARMONIC})
 
@@ -197,6 +205,41 @@ class TestGenerateMeans:
                 mean_closure(pair, config)
 
 
+class TestOneTestDecidesAPair:
+    """For a = p/q < b = r/s in the limit, A = (ps + rq)/2qs and
+    H = 2pr/(ps + rq) both lie in it exactly when ps + rq does."""
+
+    @settings(max_examples=300, deadline=None)
+    # pairs of SN2's tones often have their means in the limit
+    @given(st.lists(_products(), min_size=2, max_size=2, unique=True)
+           | st.lists(st.sampled_from(canonical("SN2").tones), min_size=2, max_size=2, unique=True),
+           prime_sets)
+    @example([ONE, Ratio(2)], frozenset({2}))
+    @example([ONE, Ratio(5, 4)], frozenset({2}))  # ps + rq = 9
+    @example([Ratio(5, 4), Ratio(3, 2)], frozenset({2}))  # ps + rq = 22
+    def test_arithmetic_and_harmonic_agree_with_ps_plus_rq(self, pair, primes):
+        a, b = sorted(pair)
+        # the drawn set, widened by the primes of a and b
+        parts = a.num * a.den * b.num * b.den
+        primes = primes | {p for p in (3, 5, 7, 11, 13) if parts % p == 0}
+        restriction = Restriction(primes)
+        smooth = oracle.smooth(Fraction(a.num * b.den + b.num * a.den), sorted(primes))
+        assert is_smooth(mean_of_kind(a, b, MeanKind.ARITHMETIC), restriction) is smooth
+        assert is_smooth(mean_of_kind(a, b, MeanKind.HARMONIC), restriction) is smooth
+
+    def test_a_tone_outside_the_limit_breaks_it(self):
+        # 8/7 and 13/7 lie outside {2, 3}: ps + rq = 147 = 3 * 7^2 is not
+        # 3-smooth, yet A = 147/98 reduces to 3/2, so the kernel decides
+        # such a pair on each mean's reduced parts.
+        a, b = Ratio(8, 7), Ratio(13, 7)
+        assert a.num * b.den + b.num * a.den == 147 == 3 * 7**2
+        assert not oracle.smooth(Fraction(147), [2, 3])
+        assert mean_of_kind(a, b, MeanKind.ARITHMETIC) == Ratio(3, 2)
+        assert not is_smooth(mean_of_kind(a, b, MeanKind.HARMONIC), THREE_LIMIT)
+        config = GeneratorConfig(kinds=AH, restriction=THREE_LIMIT)
+        assert generate_means(Scale("pair", [a, b]), config) == {Ratio(3, 2)}
+
+
 # (q + 1)/q and (2q - 1)/q, q = 2^127 - 1: their arithmetic mean 3q^2/2q^2
 # reduces to 3/2 in generation 1; in generation 2 the mean (5q + 2)/4q of
 # (q + 1)/q and 3/2 has a 130-bit numerator.
@@ -260,6 +303,30 @@ class TestTraceDigests:
         assert trace.fixpoint_reached
         assert len(trace.final) == tones
         assert hashlib.sha256(json.dumps(trace.to_json_dict()).encode()).hexdigest() == digest
+
+    def test_grid_digest(self):
+        # 105 capped closures: seeds in and outside the limit (8/7 and
+        # 13/7 have the in-limit mean 3/2 under 2,3) and a wide seed whose
+        # harmonic means overflow; an overflow counts by its message.
+        seeds = [
+            canonical("T"),
+            canonical("NATURAL"),
+            pythagorean_by_diapente(40),
+            Scale("7/4", [ONE, Ratio(7, 4), Ratio(2)]),
+            Scale("8/7,13/7", [ONE, Ratio(8, 7), Ratio(13, 7), Ratio(2)]),
+        ]
+        outcomes = []
+        for seed in seeds:
+            for primes in _DUALITY_PRIMES:
+                for kinds in _ALL_KIND_SETS:
+                    config = _grid_config(primes, kinds, max_generations=6)
+                    try:
+                        outcomes.append(mean_closure(seed, config).to_json_dict())
+                    except RatioOverflowError as error:
+                        outcomes.append(str(error))
+        assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == (
+            "194d0a9602ef308bd2e1c145fc301db849789a57cdbdebf29d159c6def2cf029"
+        )
 
 
 class TestClosureFromTavoletta:
@@ -616,10 +683,12 @@ class TestDuality:
 def _mean_calls(run):
     """What `run()` returns, and how many means it had the generator compute.
 
-    The kernel reduces each arithmetic mean, and each harmonic mean
-    within the guard, with one `gcd` call; it calls `mean_geometric` for
-    each geometric mean and `mean_of_kind` for a harmonic one past the
-    guard, so those calls count every kind.
+    The kernel calls `mean_geometric` for each pair's geometric mean.  It
+    reduces an arithmetic or harmonic mean with one `gcd` call only when
+    it keeps it; a pair of in-limit tones keeps both or neither, on one
+    divisibility test of ps + rq that calls none of these.  Past the
+    128-bit guard it calls `mean_of_kind`.  So the calls count the
+    pairs scanned, once per kind that computes a mean there.
     """
     calls = 0
 
@@ -638,9 +707,16 @@ def _mean_calls(run):
     return result, calls
 
 
-def _pair_means(n, config):
-    """C(n, 2) pairs, each with one mean per kind."""
-    return n * (n - 1) // 2 * len(config.kinds)
+def _pair_means(tones, config):
+    """The means a scan of every pair of in-limit `tones` computes: C(n, 2)
+    geometric ones, and an arithmetic and a harmonic one for each pair
+    whose arithmetic mean lies in the limit (then its harmonic one does)."""
+    pairs = list(itertools.combinations(tones, 2))
+    kept = sum(
+        is_smooth(mean_of_kind(a, b, MeanKind.ARITHMETIC), config.restriction) for a, b in pairs
+    )
+    paired = len(config.kinds - {MeanKind.GEOMETRIC})
+    return len(pairs) * (MeanKind.GEOMETRIC in config.kinds) + paired * kept
 
 
 class TestEachPairOnce:
@@ -652,7 +728,7 @@ class TestEachPairOnce:
         config = _grid_config(primes, kinds)
         trace, calls = _mean_calls(lambda: mean_closure(canonical(name), config))
         assert trace.fixpoint_reached
-        assert calls == _pair_means(len(trace.final), config)
+        assert calls == _pair_means(trace.final.tones, config)
 
     @pytest.mark.parametrize(
         "name,primes,kinds",
@@ -666,7 +742,7 @@ class TestEachPairOnce:
             lambda: closure_order_independence(canonical(name), config, trials=5)
         )
         assert certified is True
-        assert calls == 2 * _pair_means(len(mean_closure(canonical(name), config).final), config)
+        assert calls == 2 * _pair_means(mean_closure(canonical(name), config).final.tones, config)
 
 
 def _lt_calls(run):

@@ -14,7 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diapason.exact import MAGNITUDE_LIMIT, TWO, Ratio, Restriction, exponents, is_smooth
+from diapason.exact import (
+    MAGNITUDE_LIMIT,
+    TWO,
+    Ratio,
+    Restriction,
+    _smooth_modulus,
+    exponents,
+    is_smooth,
+)
 from diapason.generator import GeneratorConfig, mean_closure
 from diapason.means import MeanKind
 from diapason.scales import Scale
@@ -86,6 +94,20 @@ class TestSmoothness:
     def test_exponent_edges_and_one_outside_prime(self, r, primes, smooth):
         assert is_smooth(r, Restriction(primes)) is smooth
         assert _oracle_smooth(r, primes) is smooth
+
+    @pytest.mark.parametrize(
+        "primes",
+        [(2,), (2, 3), (2, 3, 5, 7), (2, 3, 5, 7, 11, 13), (2, 2**61 - 1)],
+        ids=["2", "3", "7", "13", "2,M61"],
+    )
+    def test_the_modulus_of_each_width(self, primes):
+        # Every n below 2^16 judged once by the oracle, then by the
+        # modulus of each width from 1 to 16 for the n below 2^width.
+        smooth = [None] + [oracle.smooth(Fraction(n), primes) for n in range(1, 2**16)]
+        for width in range(1, 17):
+            modulus = _smooth_modulus(primes, width)
+            for n in range(1, 2**width):
+                assert (modulus % n == 0) is smooth[n], (width, n)
 
 
 def _check_exponents(r: Ratio, primes) -> None:
