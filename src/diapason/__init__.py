@@ -13,4 +13,4 @@ from .scales import *
 from .generator import *
 from .analysis import *
 
-__version__ = "0.6.6"
+__version__ = "0.6.7"

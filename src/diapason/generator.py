@@ -28,22 +28,37 @@ is, on integer parts, exactly when ps + rq is.  Smoothness is tested as
 divisibility of one modulus per pass, `exact._smooth_modulus`, wide
 enough for every part the pass can form.
 
-One kernel, `_in_limit_means`, yields each in-limit mean of the pairs
-of a sorted tone list that hold a fresh tone, with its pair and kind.
-It has three callers.  `mean_closure` keeps one sorted list, merges each
-generation's sorted tones into it and passes that generation as fresh;
-for each mean not yet in the set it keeps the first pair and kind that
-yield it: the least witness.  `generate_means` collects the means of a
-full scan.  `closure_order_independence` checks a trace's closedness
-and each tone's generation against one full scan of its fixpoint.  A
-RatioOverflowError is named by `means.mean_of_kind`, with its pair and
-kind; a closure adds its generation.
+Over primes up to 13 the lemma becomes a table lookup.  The pairs whose
+A and H lie in the limit are exactly the a < b = a·y/x for the coprime
+x < y <= 2x with x, y and x + y S-smooth: finitely many, all listed in
+`_S_UNIT_PAIRS`.  `mean_closure` takes this table path while every seed
+tone lies in the limit and the set stays narrow, with no pair past
+2pr = 2^128, so that no mean reaches the guard.  Each tone is a packed
+exponent vector; a fresh tone probes its table neighbours above and
+below, A and H are one addition each, and G pairs the tones whose
+exponent parities agree.  A pass costs about fresh tones × table entries
+instead of fresh tones × tones.
+
+Elsewhere the pair kernel, `_in_limit_means`, yields each in-limit mean
+of the pairs of a sorted tone list that hold a fresh tone, with its pair
+and kind.  `mean_closure` hands off to it for good from the first wide
+pass, with the last generation as fresh, and takes it from the start
+for a prime above 13, a seed tone outside the limit or a wide seed.
+Both paths keep for each mean not yet in the set its least witness
+(least (a, b), then G < A < H), so they give the same trace.
+`generate_means` collects the means of a full pair scan, and
+`closure_order_independence` checks a trace's closedness and each
+tone's generation against one full pair scan of its fixpoint, so the
+pair kernel cross-checks the table path.  A RatioOverflowError is named
+by `means.mean_of_kind`, with its pair and kind; a closure adds its
+generation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 from math import gcd
 from operator import itemgetter
 
@@ -53,8 +68,10 @@ from .exact import (
     Ratio,
     RatioOverflowError,
     Restriction,
+    _from_parts,
     _Record,
     _smooth_modulus,
+    exponents,
 )
 from .means import MeanKind, mean_geometric, mean_of_kind
 from .scales import Scale
@@ -143,6 +160,156 @@ class ClosureTrace(_Record):
             "fixpoint": self.fixpoint_reached,
             "final": [str(t) for t in self.final.tones],
         }
+
+
+# Every coprime pair x < y <= 2x whose x, y and x + y are all 13-smooth:
+# the solutions of the S-unit equation x + y = z over S = {2, ..., 13}
+# with y/x in (1, 2].  de Weger (J. Number Theory 26, 1987) proves the
+# list complete; the widest entry has 15 bits.  Over a set of primes up
+# to 13, the entries whose three parts factor over it are its solutions.
+_S_UNIT_PAIRS = (
+    (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8),
+    (5, 9), (6, 7), (7, 8), (7, 9), (7, 11), (7, 13), (8, 13), (9, 11), (9, 13),
+    (9, 16), (10, 11), (11, 13), (11, 14), (11, 15), (11, 16), (11, 21),
+    (12, 13), (13, 14), (13, 15), (13, 20), (13, 22), (14, 25), (22, 27),
+    (24, 25), (25, 27), (25, 39), (26, 49), (27, 28), (27, 50), (32, 33),
+    (32, 45), (32, 49), (33, 65), (35, 64), (36, 55), (39, 49), (40, 77),
+    (44, 81), (48, 77), (49, 50), (49, 55), (49, 72), (49, 81), (56, 65),
+    (63, 65), (63, 80), (64, 105), (64, 125), (70, 99), (75, 121), (81, 88),
+    (81, 143), (91, 125), (91, 165), (99, 125), (100, 143), (104, 121),
+    (117, 125), (117, 128), (121, 135), (125, 169), (128, 147), (128, 169),
+    (135, 208), (143, 200), (169, 216), (169, 231), (169, 315), (175, 176),
+    (242, 325), (242, 343), (245, 484), (273, 352), (297, 343), (325, 539),
+    (343, 625), (363, 512), (363, 637), (448, 605), (486, 845), (512, 819),
+    (539, 676), (625, 896), (729, 896), (825, 1372), (847, 1350), (880, 1521),
+    (972, 1225), (1001, 1024), (1323, 2197), (1331, 2197), (2048, 2187),
+    (2178, 2197), (2401, 4160), (5824, 9801), (8019, 8788), (12936, 15625),
+    (15625, 17303),
+)
+_TABLE_PRIMES = frozenset({2, 3, 5, 7, 11, 13})
+
+# A packed key holds a tone's exponent vector, _FIELD bits per prime,
+# smallest prime lowest, each exponent stored plus _BIAS.  Multiplying
+# tones adds their vectors, so it adds keys once one bias is taken off;
+# _BIAS is even, so a field's low bit is its exponent's parity, and a
+# sum of two keys whose parities agree halves field by field.  The table
+# path keeps a set narrow (no pair has 2pr > 2^128): its parts lie below
+# 2^64 and its means' parts below 2^129, so every exponent lies within
+# +-128, every field and every sum of two fields inside _FIELD bits.
+_FIELD = 10
+_BIAS = 1 << 8
+_KINDS = (MeanKind.GEOMETRIC, MeanKind.ARITHMETIC, MeanKind.HARMONIC)  # a pair's yield order
+
+
+def _pack(vector: Sequence[int], bias: int) -> int:
+    return sum([(e + bias) << (_FIELD * i) for i, e in enumerate(vector)])
+
+
+@cache
+def _table_steps(restriction: Restriction) -> tuple[tuple[int, int, int], ...]:
+    """(b/a, A/a, H/a) as unbiased packed keys, for each table entry whose
+    x, y and x + y factor over `restriction`: b/a = y/x,
+    A/a = (x + y)/2x and H/a = 2y/(x + y)."""
+    steps = []
+    for x, y in _S_UNIT_PAIRS:
+        vectors = [exponents(r, restriction) for r in (Ratio(y, x), Ratio(x + y, 2 * x), Ratio(2 * y, x + y))]
+        if None not in vectors:
+            steps.append(tuple([_pack(vector, 0) for vector in vectors]))
+    return tuple(steps)
+
+
+class _Probes:
+    """The table path's tone set: each tone under its packed key, with
+    the keys of the last generation as `fresh`.
+
+    A pass probes, for each fresh key f and table step, f·y/x and f·x/y
+    in the set (a downward probe that meets a fresh tone skips it: that
+    pair is probed upward), and a pair found adds the keys of its A and
+    H.  G pairs f with the tones whose exponent parities match its own
+    (`buckets`), each pair of fresh tones once.  Each new mean keeps its
+    least witness (a, b, then G < A < H), and one Ratio is built for it.
+    """
+
+    __slots__ = ("tones", "fresh", "steps", "kinds", "mask", "buckets")
+
+    def __init__(self, tones: dict[int, Ratio], config: GeneratorConfig) -> None:
+        self.tones = tones
+        self.fresh = list(tones)  # the first pass takes every seed tone as fresh
+        self.steps = _table_steps(config.restriction) if config.kinds - {MeanKind.GEOMETRIC} else ()
+        self.kinds = config.kinds
+        self.mask = _pack([1] * len(config.restriction.primes), 0)  # each field's low bit
+        self.buckets = {}
+        if MeanKind.GEOMETRIC in config.kinds:
+            for key in tones:
+                self.buckets.setdefault(key & self.mask, []).append(key)
+
+    def witnesses(self) -> list[Witness]:
+        """One pass: a Witness for each new mean, added to the set, whose
+        new tones become the next pass's fresh ones."""
+        tones, fresh = self.tones, self.fresh
+        recent = set(fresh)
+        arithmetic = MeanKind.ARITHMETIC in self.kinds
+        harmonic = MeanKind.HARMONIC in self.kinds
+        offers = []  # (mean key, a key, b key, index in _KINDS) for each mean not in the set
+        for up, to_a, to_h in self.steps:
+            for f in fresh:
+                if (b := f + up) in tones:
+                    if arithmetic and (m := f + to_a) not in tones:
+                        offers.append((m, f, b, 1))
+                    if harmonic and (m := f + to_h) not in tones:
+                        offers.append((m, f, b, 2))
+                if (a := f - up) in tones and a not in recent:
+                    if arithmetic and (m := a + to_a) not in tones:
+                        offers.append((m, a, f, 1))
+                    if harmonic and (m := a + to_h) not in tones:
+                        offers.append((m, a, f, 2))
+        buckets, mask = self.buckets, self.mask
+        if buckets:
+            for f in fresh:
+                for t in buckets[f & mask]:
+                    if (t > f or t not in recent) and (m := (f + t) >> 1) not in tones:
+                        offers.append((m, f, t, 0) if tones[f] < tones[t] else (m, t, f, 0))
+        least = {}
+        for m, a, b, kind in offers:
+            witness = (tones[a], tones[b], kind)
+            if m not in least or witness < least[m]:
+                least[m] = witness
+        found = []
+        for m, (a, b, kind) in least.items():
+            p, q, r, s = a.num, a.den, b.num, b.den
+            if kind == 1:  # arithmetic
+                mean = _from_parts(p * s + r * q, 2 * q * s)
+            elif kind == 2:  # harmonic
+                mean = _from_parts(2 * p * r, p * s + r * q)
+            else:
+                mean = mean_geometric(a, b)
+            tones[m] = mean
+            if buckets:
+                buckets.setdefault(m & mask, []).append(m)
+            found.append(Witness(mean, a, b, _KINDS[kind]))
+        self.fresh = list(least)
+        return found
+
+
+def _wide(tones: Sequence[Ratio]) -> bool:
+    """Can a pair of these tones in [1, 2] pass the guard, 2pr > 2^128?"""
+    widest = max([t.num for t in tones])
+    return 2 * widest * widest > MAGNITUDE_LIMIT
+
+
+def _table_probes(seed: Scale, config: GeneratorConfig) -> _Probes | None:
+    """The table path over `seed`, or None where it does not apply: a
+    prime above 13, a seed tone outside the limit, or a wide seed."""
+    restriction = config.restriction
+    if not restriction.primes <= _TABLE_PRIMES or _wide(seed.tones):
+        return None
+    tones = {}
+    for tone in seed.tones:
+        vector = exponents(tone, restriction)
+        if vector is None:
+            return None
+        tones[_pack(vector, _BIAS)] = tone
+    return _Probes(tones, config)
 
 
 def _in_limit_means(
@@ -237,27 +404,38 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     if len(seed.tones) < 2:
         raise ValueError("need at least two tones to take means")
     ordered = list(seed.tones)  # a Scale's tones strictly increase
-    current = set(ordered)
+    probes = _table_probes(seed, config)  # None: the pair kernel takes every pass
+    current = set(ordered)  # the pair kernel's novelty set
     generations: list[Generation] = []
     fixpoint = False
     fresh: Sequence[Ratio] = ordered  # the first pass scans every pair
     for _ in range(config.max_generations):
-        found: list[Witness] = []  # novelty is decided by current
-        try:
-            for a, b, kind, mean in _in_limit_means(ordered, config, fresh):
-                if mean not in current:
-                    current.add(mean)
-                    found.append(Witness(mean, a, b, kind))
-        except RatioOverflowError as error:
-            raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
+        if probes is not None:
+            found = probes.witnesses()
+        else:
+            found = []  # novelty is decided by current
+            try:
+                for a, b, kind, mean in _in_limit_means(ordered, config, fresh):
+                    if mean not in current:
+                        current.add(mean)
+                        found.append(Witness(mean, a, b, kind))
+            except RatioOverflowError as error:
+                raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
         if not found:
             fixpoint = True
             break
         found.sort(key=itemgetter(0))
         added = tuple([witness.tone for witness in found])
         generations.append(Generation(added, tuple(found)))
-        ordered = sorted(ordered + list(added))  # Timsort merges the two sorted runs
         fresh = added
+        ordered += added
+        if probes is not None and _wide(added):
+            probes = None  # from the first wide pass on, the pair kernel and its guard
+            current = set(ordered)
+        if probes is None:
+            ordered.sort()  # Timsort merges the sorted runs
+    if probes is not None:
+        ordered.sort()  # the table path needs its tones in order only here
     final = Scale(f"{seed.name}-closure", ordered)
     return ClosureTrace(seed, tuple(generations), fixpoint, final)
 

@@ -1,5 +1,6 @@
 """Mean-generator closure: single passes, fixpoints, traces, confluence."""
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -238,6 +239,85 @@ class TestOneTestDecidesAPair:
         assert not is_smooth(mean_of_kind(a, b, MeanKind.HARMONIC), THREE_LIMIT)
         config = GeneratorConfig(kinds=AH, restriction=THREE_LIMIT)
         assert generate_means(Scale("pair", [a, b]), config) == {Ratio(3, 2)}
+
+
+def _smooth_numbers(primes, bound):
+    """Every n <= bound that factors over `primes`, sorted."""
+    numbers = [1]
+    for p in primes:
+        numbers = [n * p**k for n in numbers for k in range(bound.bit_length()) if n * p**k <= bound]
+    return sorted(numbers)
+
+
+class TestSUnitTable:
+    """The table path's literal holds the coprime x < y <= 2x with x, y
+    and x + y all 13-smooth: the S-unit equation x + y = z over
+    {2, ..., 13} with y/x in (1, 2].  A search up to 2^17 re-enumerates
+    it; that no solution lies past the bound is de Weger's theorem
+    (J. Number Theory 26, 1987), not this test's."""
+
+    def test_the_literal_is_every_solution_below_2_17(self):
+        bound = 2**17
+        smooth = _smooth_numbers((2, 3, 5, 7, 11, 13), 3 * bound)  # x + y <= 3x
+        members = set(smooth)
+        parts = smooth[: bisect.bisect_right(smooth, bound)]
+        found = [
+            (x, y)
+            for i, x in enumerate(parts)
+            for y in parts[i + 1 : bisect.bisect_right(parts, 2 * x)]
+            if math.gcd(x, y) == 1 and x + y in members
+        ]
+        assert tuple(found) == generator._S_UNIT_PAIRS
+
+    @pytest.mark.parametrize(
+        "primes,count",
+        [((2, 3), 1), ((2, 3, 5), 5), ((2, 3, 7), 4), ((2, 3, 5, 7), 13),
+         ((2, 3, 5, 7, 11), 39), ((2, 3, 5, 7, 11, 13), 107)],
+    )
+    def test_entries_per_prime_set(self, primes, count):
+        smooth = [all(oracle.smooth(Fraction(n), primes) for n in (x, y, x + y))
+                  for x, y in generator._S_UNIT_PAIRS]
+        assert sum(smooth) == count
+        assert len(generator._table_steps(Restriction(primes))) == count
+
+
+# 3^38/2^60 times 1, 4/3 and 3/2: a narrow seed in the 5-limit (parts of
+# up to 62 bits) whose means pass 2pr = 2^128 within two or three
+# generations, and then, under A,H, overflow on the pair kernel's guard.
+_C = Ratio(3**38, 2**60)
+_WIDENING = Scale("widening", [_C, _C * Ratio(4, 3), _C * Ratio(3, 2)])
+
+
+def _outcome(seed, config):
+    """The closure's JSON trace, or its overflow message."""
+    try:
+        return mean_closure(seed, config).to_json_dict()
+    except RatioOverflowError as error:
+        return str(error)
+
+
+class TestHandOff:
+    """From its first wide pass a closure takes the pair kernel alone, so
+    a narrow seed that turns wide gives the pair kernel's trace or
+    overflow message, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "primes,kinds,table_passes,overflow",
+        [((2, 3, 5), "AH", 2, 3), ((2, 3, 5, 7), "A", 3, None), ((2, 3, 5, 7), "AH", 2, 3)],
+        ids=["5-AH", "7-A", "7-AH"],
+    )
+    def test_a_seed_that_turns_wide(self, primes, kinds, table_passes, overflow):
+        config = _grid_config(primes, kinds, max_generations=10)
+        assert not generator._wide(_WIDENING.tones)
+        got, probed = _probed(lambda: _outcome(_WIDENING, config))
+        assert len(probed) == table_passes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generator, "_table_probes", lambda seed, config: None)
+            assert got == _outcome(_WIDENING, config)
+        if overflow is None:
+            assert got["fixpoint"] is True
+        else:
+            assert got.startswith(f"generation {overflow}: ratio part exceeds 128 bits")
 
 
 # (q + 1)/q and (2q - 1)/q, q = 2^127 - 1: their arithmetic mean 3q^2/2q^2
@@ -662,7 +742,7 @@ class TestDuality:
     """iota(t) = 2/t swaps the arithmetic and harmonic closures.  The
     wide seed pythagorean:steps=40 is left out: under H it overflows in
     mean_harmonic's a*b while its A dual reaches a fixpoint, so it joins
-    when mean_harmonic is mended (ROADMAP item 2)."""
+    when mean_harmonic is mended (ROADMAP item 15)."""
 
     @pytest.mark.parametrize("kinds", _ALL_KIND_SETS)
     @pytest.mark.parametrize("primes", _DUALITY_PRIMES, ids=["3", "5", "7"])
@@ -681,14 +761,17 @@ class TestDuality:
 
 
 def _mean_calls(run):
-    """What `run()` returns, and how many means it had the generator compute.
+    """What `run()` returns, and how many means it had the pair kernel compute.
 
     The kernel calls `mean_geometric` for each pair's geometric mean.  It
     reduces an arithmetic or harmonic mean with one `gcd` call only when
-    it keeps it; a pair of in-limit tones keeps both or neither, on one
-    divisibility test of ps + rq that calls none of these.  Past the
-    128-bit guard it calls `mean_of_kind`.  So the calls count the
-    pairs scanned, once per kind that computes a mean there.
+    it keeps it, or when the pair holds a tone outside the limit; a pair
+    of in-limit tones keeps both or neither, on one divisibility test of
+    ps + rq that calls none of these.  Past the 128-bit guard it calls
+    `mean_of_kind`.  So the calls count the pairs scanned, once per kind
+    that computes a mean there.  The table path builds its means from
+    `exact`'s integer helpers, and calls `mean_geometric` only once per
+    new geometric tone.
     """
     calls = 0
 
@@ -708,26 +791,66 @@ def _mean_calls(run):
 
 
 def _pair_means(tones, config):
-    """The means a scan of every pair of in-limit `tones` computes: C(n, 2)
+    """The means a scan of every pair of `tones` computes: C(n, 2)
     geometric ones, and an arithmetic and a harmonic one for each pair
-    whose arithmetic mean lies in the limit (then its harmonic one does)."""
+    that holds a tone outside the limit or whose arithmetic mean lies in
+    the limit (for in-limit tones, then its harmonic one does)."""
+    restriction = config.restriction
     pairs = list(itertools.combinations(tones, 2))
-    kept = sum(
-        is_smooth(mean_of_kind(a, b, MeanKind.ARITHMETIC), config.restriction) for a, b in pairs
+    computed = sum(
+        not (is_smooth(a, restriction) and is_smooth(b, restriction))
+        or is_smooth(mean_of_kind(a, b, MeanKind.ARITHMETIC), restriction)
+        for a, b in pairs
     )
     paired = len(config.kinds - {MeanKind.GEOMETRIC})
-    return len(pairs) * (MeanKind.GEOMETRIC in config.kinds) + paired * kept
+    return len(pairs) * (MeanKind.GEOMETRIC in config.kinds) + paired * computed
+
+
+def _probed(run):
+    """What `run()` returns, and the tones each table-path pass probed as
+    fresh, one list per pass."""
+    probed = []
+    witnesses = generator._Probes.witnesses
+
+    def spied(probes):
+        probed.append([probes.tones[key] for key in probes.fresh])
+        return witnesses(probes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator._Probes, "witnesses", spied)
+        result = run()
+    return result, probed
+
+
+# T under {2, 3, 7, 17} closes to 7, 24 and 66 tones under A, AH and AGH:
+# 17 lies past the table, so it takes the pair kernel, as _SEVEN_FOUR
+# does under the 5-limit for its tone 7/4.
+_PAIR_KERNEL_CLOSURES = [
+    pytest.param(seed, primes, kinds, id=f"{name}-{primes[-1]}-{kinds}")
+    for name, seed, primes in (("T", canonical("T"), (2, 3, 7, 17)), ("T+7/4", _SEVEN_FOUR, (2, 3, 5)))
+    for kinds in _KIND_SETS
+]
 
 
 class TestEachPairOnce:
-    """The semi-naive scan computes each pair's means exactly once: a
-    closure that went back to full rescans keeps its traces, not its cost."""
+    """Each pass takes only the last generation as fresh: a closure that
+    went back to full rescans keeps its traces, not its cost.  The table
+    path probes each tone of the fixpoint as fresh exactly once, and the
+    pair kernel computes each pair's means exactly once."""
 
     @pytest.mark.parametrize("name,primes,kinds", _GRID)
     def test_closure(self, name, primes, kinds):
         config = _grid_config(primes, kinds)
-        trace, calls = _mean_calls(lambda: mean_closure(canonical(name), config))
+        trace, probed = _probed(lambda: mean_closure(canonical(name), config))
         assert trace.fixpoint_reached
+        assert len(probed) == len(trace.generations) + 1
+        assert sorted(tone for fresh in probed for tone in fresh) == list(trace.final.tones)
+
+    @pytest.mark.parametrize("seed,primes,kinds", _PAIR_KERNEL_CLOSURES)
+    def test_pair_kernel(self, seed, primes, kinds):
+        config = _grid_config(primes, kinds)
+        (trace, calls), probed = _probed(lambda: _mean_calls(lambda: mean_closure(seed, config)))
+        assert trace.fixpoint_reached and probed == []
         assert calls == _pair_means(trace.final.tones, config)
 
     @pytest.mark.parametrize(
@@ -736,13 +859,14 @@ class TestEachPairOnce:
         ids=["NATURAL-5-A", "T-5-AH", "T-7-A"],
     )
     def test_certifier(self, name, primes, kinds):
-        # once in the batch closure, once in the certifier's scan of the fixpoint
+        # the batch closure takes the table path; the certifier scans
+        # the pairs of the fixpoint once
         config = _grid_config(primes, kinds)
         certified, calls = _mean_calls(
             lambda: closure_order_independence(canonical(name), config, trials=5)
         )
         assert certified is True
-        assert calls == 2 * _pair_means(mean_closure(canonical(name), config).final.tones, config)
+        assert calls == _pair_means(mean_closure(canonical(name), config).final.tones, config)
 
 
 def _lt_calls(run):
