@@ -37,7 +37,11 @@ tone lies in the limit and the set stays narrow, with no pair past
 exponent vector; a fresh tone probes its table neighbours above and
 below, A and H are one addition each, and G pairs the tones whose
 exponent parities agree.  A pass costs about fresh tones × table entries
-instead of fresh tones × tones.
+instead of fresh tones × tones.  A step above √2 can lead up only from a
+tone below √2 and down only from one above it, so it is probed one way.
+The path orders its tones, witnesses and generations by the exact
+integer key floor(t·2^256) (`_order_key`), and calls no Ratio
+comparison; the final Scale checks its order on integer parts.
 
 Elsewhere the pair kernel, `_in_limit_means`, yields each in-limit mean
 of the pairs of a sorted tone list that hold a fresh tone, with its pair
@@ -206,76 +210,106 @@ def _pack(vector: Sequence[int], bias: int) -> int:
 
 
 @cache
-def _table_steps(restriction: Restriction) -> tuple[tuple[int, int, int], ...]:
+def _table_steps(restriction: Restriction) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """(b/a, A/a, H/a) as unbiased packed keys, for each table entry whose
     x, y and x + y factor over `restriction`: b/a = y/x,
-    A/a = (x + y)/2x and H/a = 2y/(x + y)."""
-    steps = []
+    A/a = (x + y)/2x and H/a = 2y/(x + y).  Split in two: the steps
+    below √2, then those above it (y² > 2x²; no rational step is √2)."""
+    small, large = [], []
     for x, y in _S_UNIT_PAIRS:
         vectors = [exponents(r, restriction) for r in (Ratio(y, x), Ratio(x + y, 2 * x), Ratio(2 * y, x + y))]
         if None not in vectors:
-            steps.append(tuple([_pack(vector, 0) for vector in vectors]))
-    return tuple(steps)
+            (large if y * y > 2 * x * x else small).append(tuple([_pack(vector, 0) for vector in vectors]))
+    return tuple(small), tuple(large)
+
+
+def _order_key(tone: Ratio) -> int:
+    """floor(tone·2^256), which orders Ratios with parts up to 2^128
+    exactly: p/q < r/s differ by at least 1/qs >= 2^-256, so their
+    scaled values differ by at least 1 and their floors keep the order,
+    and equal Ratios have equal parts."""
+    return (tone.num << 256) // tone.den
 
 
 class _Probes:
-    """The table path's tone set: each tone under its packed key, with
-    the keys of the last generation as `fresh`.
+    """The table path's tone set: each tone as (order key, Ratio) under
+    its packed key, with the keys of the last generation, the fresh
+    ones, split into those below √2 (`low`) and above it (`high`).
 
     A pass probes, for each fresh key f and table step, f·y/x and f·x/y
     in the set (a downward probe that meets a fresh tone skips it: that
     pair is probed upward), and a pair found adds the keys of its A and
-    H.  G pairs f with the tones whose exponent parities match its own
-    (`buckets`), each pair of fresh tones once.  Each new mean keeps its
-    least witness (a, b, then G < A < H), and one Ratio is built for it.
+    H.  Tones lie in [1, 2], so a step y/x above √2 leads up only from a
+    tone below √2 and down only from one above it: a fresh tone probes
+    the small steps both ways and the large ones one way.  G pairs f
+    with the tones whose exponent parities match its own (`buckets`),
+    each pair of fresh tones once.  Each new mean keeps its least
+    witness (a, b, then G < A < H), and one Ratio is built for it.
+    Every order is decided on order keys: a tone has one stored tuple,
+    and the tuples of distinct tones differ in their keys, so comparing
+    witnesses never reaches a Ratio.
     """
 
-    __slots__ = ("tones", "fresh", "steps", "kinds", "mask", "buckets")
+    __slots__ = ("tones", "low", "high", "small", "large", "kinds", "mask", "buckets")
 
-    def __init__(self, tones: dict[int, Ratio], config: GeneratorConfig) -> None:
-        self.tones = tones
-        self.fresh = list(tones)  # the first pass takes every seed tone as fresh
-        self.steps = _table_steps(config.restriction) if config.kinds - {MeanKind.GEOMETRIC} else ()
+    def __init__(self, tones: Iterable[tuple[int, Ratio]], config: GeneratorConfig) -> None:
+        self.tones, self.low, self.high = {}, [], []
+        self.small, self.large = (
+            _table_steps(config.restriction) if config.kinds - {MeanKind.GEOMETRIC} else ((), ())
+        )
         self.kinds = config.kinds
         self.mask = _pack([1] * len(config.restriction.primes), 0)  # each field's low bit
-        self.buckets = {}
-        if MeanKind.GEOMETRIC in config.kinds:
-            for key in tones:
-                self.buckets.setdefault(key & self.mask, []).append(key)
+        self.buckets = {} if MeanKind.GEOMETRIC in config.kinds else None
+        for key, tone in tones:  # the first pass takes every seed tone as fresh
+            self.add(key, tone)
+
+    def add(self, key: int, tone: Ratio) -> int:
+        """Put a fresh `tone` in the set under its packed `key`, and
+        return its order key."""
+        order = _order_key(tone)
+        self.tones[key] = (order, tone)
+        (self.low if tone.num * tone.num < 2 * tone.den * tone.den else self.high).append(key)
+        if self.buckets is not None:
+            self.buckets.setdefault(key & self.mask, []).append(key)
+        return order
 
     def witnesses(self) -> list[Witness]:
-        """One pass: a Witness for each new mean, added to the set, whose
-        new tones become the next pass's fresh ones."""
-        tones, fresh = self.tones, self.fresh
+        """One pass: a Witness for each new mean, in the order of the
+        means, each mean added to the set as the next pass's fresh."""
+        tones, low, high = self.tones, self.low, self.high
+        fresh = low + high
         recent = set(fresh)
         arithmetic = MeanKind.ARITHMETIC in self.kinds
         harmonic = MeanKind.HARMONIC in self.kinds
         offers = []  # (mean key, a key, b key, index in _KINDS) for each mean not in the set
-        for up, to_a, to_h in self.steps:
-            for f in fresh:
-                if (b := f + up) in tones:
-                    if arithmetic and (m := f + to_a) not in tones:
-                        offers.append((m, f, b, 1))
-                    if harmonic and (m := f + to_h) not in tones:
-                        offers.append((m, f, b, 2))
-                if (a := f - up) in tones and a not in recent:
-                    if arithmetic and (m := a + to_a) not in tones:
-                        offers.append((m, a, f, 1))
-                    if harmonic and (m := a + to_h) not in tones:
-                        offers.append((m, a, f, 2))
+        for steps, ups, downs in ((self.small, fresh, fresh), (self.large, low, high)):
+            for up, to_a, to_h in steps:
+                for f in ups:
+                    if (b := f + up) in tones:
+                        if arithmetic and (m := f + to_a) not in tones:
+                            offers.append((m, f, b, 1))
+                        if harmonic and (m := f + to_h) not in tones:
+                            offers.append((m, f, b, 2))
+                for f in downs:
+                    if (a := f - up) in tones and a not in recent:
+                        if arithmetic and (m := a + to_a) not in tones:
+                            offers.append((m, a, f, 1))
+                        if harmonic and (m := a + to_h) not in tones:
+                            offers.append((m, a, f, 2))
         buckets, mask = self.buckets, self.mask
-        if buckets:
+        if buckets is not None:
             for f in fresh:
                 for t in buckets[f & mask]:
                     if (t > f or t not in recent) and (m := (f + t) >> 1) not in tones:
-                        offers.append((m, f, t, 0) if tones[f] < tones[t] else (m, t, f, 0))
+                        offers.append((m, f, t, 0) if tones[f][0] < tones[t][0] else (m, t, f, 0))
         least = {}
         for m, a, b, kind in offers:
             witness = (tones[a], tones[b], kind)
             if m not in least or witness < least[m]:
                 least[m] = witness
+        self.low, self.high = [], []
         found = []
-        for m, (a, b, kind) in least.items():
+        for m, ((_, a), (_, b), kind) in least.items():
             p, q, r, s = a.num, a.den, b.num, b.den
             if kind == 1:  # arithmetic
                 mean = _from_parts(p * s + r * q, 2 * q * s)
@@ -283,12 +317,13 @@ class _Probes:
                 mean = _from_parts(2 * p * r, p * s + r * q)
             else:
                 mean = mean_geometric(a, b)
-            tones[m] = mean
-            if buckets:
-                buckets.setdefault(m & mask, []).append(m)
-            found.append(Witness(mean, a, b, _KINDS[kind]))
-        self.fresh = list(least)
-        return found
+            found.append((self.add(m, mean), Witness(mean, a, b, _KINDS[kind])))
+        found.sort(key=itemgetter(0))
+        return [witness for _, witness in found]
+
+    def ordered(self) -> list[Ratio]:
+        """Every tone of the set, in increasing order."""
+        return [tone for _, tone in sorted(self.tones.values(), key=itemgetter(0))]
 
 
 def _wide(tones: Sequence[Ratio]) -> bool:
@@ -303,12 +338,12 @@ def _table_probes(seed: Scale, config: GeneratorConfig) -> _Probes | None:
     restriction = config.restriction
     if not restriction.primes <= _TABLE_PRIMES or _wide(seed.tones):
         return None
-    tones = {}
+    tones = []
     for tone in seed.tones:
         vector = exponents(tone, restriction)
         if vector is None:
             return None
-        tones[_pack(vector, _BIAS)] = tone
+        tones.append((_pack(vector, _BIAS), tone))
     return _Probes(tones, config)
 
 
@@ -405,13 +440,13 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
         raise ValueError("need at least two tones to take means")
     ordered = list(seed.tones)  # a Scale's tones strictly increase
     probes = _table_probes(seed, config)  # None: the pair kernel takes every pass
-    current = set(ordered)  # the pair kernel's novelty set
+    current = set(ordered) if probes is None else set()  # the pair kernel's novelty set, filled at hand-off
     generations: list[Generation] = []
     fixpoint = False
     fresh: Sequence[Ratio] = ordered  # the first pass scans every pair
     for _ in range(config.max_generations):
         if probes is not None:
-            found = probes.witnesses()
+            found = probes.witnesses()  # in the order of their tones
         else:
             found = []  # novelty is decided by current
             try:
@@ -421,21 +456,22 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
                         found.append(Witness(mean, a, b, kind))
             except RatioOverflowError as error:
                 raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
+            found.sort(key=itemgetter(0))
         if not found:
             fixpoint = True
             break
-        found.sort(key=itemgetter(0))
         added = tuple([witness.tone for witness in found])
         generations.append(Generation(added, tuple(found)))
         fresh = added
-        ordered += added
-        if probes is not None and _wide(added):
+        if probes is None:
+            ordered += added
+            ordered.sort()  # Timsort merges the sorted runs
+        elif _wide(added):
+            ordered = probes.ordered()
             probes = None  # from the first wide pass on, the pair kernel and its guard
             current = set(ordered)
-        if probes is None:
-            ordered.sort()  # Timsort merges the sorted runs
     if probes is not None:
-        ordered.sort()  # the table path needs its tones in order only here
+        ordered = probes.ordered()
     final = Scale(f"{seed.name}-closure", ordered)
     return ClosureTrace(seed, tuple(generations), fixpoint, final)
 

@@ -51,7 +51,10 @@ def reduce_to_diapason(r: Ratio) -> Ratio:
 class Scale(_Record):
     """A `name` and strictly increasing `tones` within the closed diapason [1, 2].
 
-    Any Ratio in [1, 2] is a tone; the constructor enforces the bound.
+    Any Ratio in [1, 2] is a tone; the constructor enforces the bound
+    and the order on integer parts: q <= p <= 2q for each tone p/q, and
+    ps < rq for neighbours p/q, r/s.  A tone that is not a Ratio raises
+    the TypeError that comparing it with a Ratio raises.
     """
 
     __slots__ = ("name", "tones", "_members")
@@ -60,10 +63,13 @@ class Scale(_Record):
     def __init__(self, name: str, tones: Iterable[Ratio]) -> None:
         tones = tuple(tones)
         for tone in tones:
-            if not (ONE <= tone <= TWO):
+            if not isinstance(tone, Ratio):
+                name = type(tone).__name__
+                raise TypeError(f"'<=' not supported between instances of 'Ratio' and '{name}'")
+            if not tone.den <= tone.num <= 2 * tone.den:
                 raise ValueError(f"tone {tone} outside the diapason [1, 2]")
         for left, right in zip(tones, tones[1:]):
-            if not left < right:
+            if left.num * right.den >= right.num * left.den:
                 raise ValueError(f"tones must strictly increase: {left} !< {right}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "tones", tones)

@@ -278,7 +278,7 @@ class TestSUnitTable:
         smooth = [all(oracle.smooth(Fraction(n), primes) for n in (x, y, x + y))
                   for x, y in generator._S_UNIT_PAIRS]
         assert sum(smooth) == count
-        assert len(generator._table_steps(Restriction(primes))) == count
+        assert sum(map(len, generator._table_steps(Restriction(primes)))) == count
 
 
 # 3^38/2^60 times 1, 4/3 and 3/2: a narrow seed in the 5-limit (parts of
@@ -318,6 +318,107 @@ class TestHandOff:
             assert got["fixpoint"] is True
         else:
             assert got.startswith(f"generation {overflow}: ratio part exceeds 128 bits")
+
+
+def _fibonacci_below(bound):
+    fibs = [1, 2]
+    while fibs[-1] + fibs[-2] <= bound:
+        fibs.append(fibs[-1] + fibs[-2])
+    return fibs
+
+
+_PARTS = st.integers(1, 2**128)
+_FIBS = _fibonacci_below(2**128)
+
+
+class TestOrderKey:
+    """`_order_key` orders Ratios with parts up to 2^128 exactly: the
+    table path sorts and picks least witnesses on it alone."""
+
+    @settings(max_examples=300)
+    @given(_PARTS, _PARTS, _PARTS, _PARTS)
+    @example(2**128, 2**128 - 1, 2**128 - 1, 2**128 - 2)  # 1/((2^128 - 1)(2^128 - 2)) apart
+    @example(_FIBS[-1], _FIBS[-2], _FIBS[-2], _FIBS[-3])  # neighbouring convergents of the golden ratio
+    @example(_FIBS[-2], _FIBS[-3], _FIBS[-3], _FIBS[-4])
+    @example(2**128, 1, 2**128, 1)
+    def test_keys_order_as_ratios(self, p, q, r, s):
+        a, b = Ratio(p, q), Ratio(r, s)
+        key_a, key_b = generator._order_key(a), generator._order_key(b)
+        assert (key_a < key_b) is (Fraction(p, q) < Fraction(r, s))
+        assert (key_a == key_b) is (Fraction(p, q) == Fraction(r, s))
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [
+            (Ratio(2**128, 2**128 - 1), Ratio(2**128 - 1, 2**128 - 2)),
+            # Farey neighbours whose keys would coincide at a 255-bit shift
+            (Ratio(340282366920938463463374607431768210673, 340282366920938463463374607431768144500),
+             Ratio(328830432882389055727093416451299623709, 328830432882389055727093416451299559763)),
+        ],
+        ids=["2^128", "farey"],
+    )
+    def test_the_closest_tones_are_one_key_apart(self, low, high):
+        # qs <= 2^256 apart by 1/qs: a shift of 256 bits is just wide enough
+        assert high.num * low.den - low.num * high.den == 1
+        assert generator._order_key(high) - generator._order_key(low) == 1
+
+
+def _step_probes(run):
+    """What `run()` returns, and how many neighbours f·y/x and f·x/y the
+    table path probed: each probe adds or subtracts a step's b/a key."""
+    probes = 0
+
+    class Counted(int):
+        def __radd__(self, other):
+            nonlocal probes
+            probes += 1
+            return other + int(self)
+
+        def __rsub__(self, other):
+            nonlocal probes
+            probes += 1
+            return other - int(self)
+
+    table_steps = generator._table_steps
+
+    def counted(restriction):
+        return tuple(
+            tuple((Counted(up), to_a, to_h) for up, to_a, to_h in steps)
+            for steps in table_steps(restriction)
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "_table_steps", counted)
+        result = run()
+    return result, probes
+
+
+class TestOctaveSplit:
+    """A step y/x above √2 leads up only from a tone below √2 and down
+    only from one above it, so the table path probes it one way.  Seeds
+    whose tones straddle √2 give the pair kernel's trace, and each fresh
+    tone probes the small steps twice and the large ones once."""
+
+    @pytest.mark.parametrize(
+        "tones,primes,kinds,cap,small,large",
+        [
+            ((Ratio(7, 5), Ratio(10, 7)), (2, 3, 5, 7), "AH", 64, 6, 7),
+            ((Ratio(140, 99), Ratio(99, 70)), (2, 3, 5, 7, 11), "A", 12, 20, 19),
+        ],
+        ids=["7-AH", "11-A-capped"],
+    )
+    def test_straddling_seeds(self, tones, primes, kinds, cap, small, large):
+        seed = Scale("straddling", [ONE, *tones, Ratio(2)])
+        low, high = tones
+        assert low.num**2 < 2 * low.den**2 and high.num**2 > 2 * high.den**2
+        config = _grid_config(primes, kinds, max_generations=cap)
+        assert tuple(map(len, generator._table_steps(config.restriction))) == (small, large)
+        (got, probes), probed = _probed(lambda: _step_probes(lambda: _outcome(seed, config)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generator, "_table_probes", lambda seed, config: None)
+            assert got == _outcome(seed, config)
+        assert len(probed) == len(got["generations"]) + got["fixpoint"]  # the silent pass
+        assert probes == sum(map(len, probed)) * (2 * small + large)
 
 
 # (q + 1)/q and (2q - 1)/q, q = 2^127 - 1: their arithmetic mean 3q^2/2q^2
@@ -813,7 +914,7 @@ def _probed(run):
     witnesses = generator._Probes.witnesses
 
     def spied(probes):
-        probed.append([probes.tones[key] for key in probes.fresh])
+        probed.append([probes.tones[key][1] for key in probes.low + probes.high])
         return witnesses(probes)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -869,44 +970,72 @@ class TestEachPairOnce:
         assert calls == _pair_means(mean_closure(canonical(name), config).final.tones, config)
 
 
-def _lt_calls(run):
-    """What `run()` returns, and how many times it called Ratio.__lt__."""
+def _comparisons(run, names=("__lt__",)):
+    """What `run()` returns, and how many times it called the Ratio
+    comparisons `names`."""
     calls = 0
-    less_than = Ratio.__lt__
 
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return less_than(self, other)
+    def counting(compare):
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return compare(self, other)
+
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Ratio, "__lt__", counted)
+        for name in names:
+            mp.setattr(Ratio, name, counting(getattr(Ratio, name)))
         result = run()
     return result, calls
 
 
 class TestMergeNotResort:
-    """Each pass merges its sorted new tones into the sorted set.  With n
-    tones after a generation of m, sorting the m and merging them costs
-    at most 2n + m·ceil(log2 n) comparisons, and the final Scale checks
-    its n - 1 neighbours.  Re-sorting the whole set every pass took
-    5,359 comparisons for T5-7-AH and 17,215 for T-11-A; this bound is
-    2,525 and 6,888."""
+    """Each pair-kernel pass merges its sorted new tones into the sorted
+    set.  With n tones after a generation of m, sorting the m and
+    merging them costs at most 2n + m·ceil(log2 n) comparisons; the
+    bound allows n - 1 more for the final Scale's neighbours.  A full
+    re-sort every pass took 5,359 comparisons for T5-7-AH and 17,215 for
+    T-11-A, where this bound is 2,525 and 6,888.  Those two take the
+    table path, which compares no Ratio at all; T under {2, 3, 7, 17}
+    takes the pair kernel, whose merges must compare."""
 
     @pytest.mark.parametrize(
         "name,primes,kinds",
-        [("T5", (2, 3, 5, 7), "AH"), ("T", (2, 3, 5, 7, 11), "A")],
-        ids=["T5-7-AH", "T-11-A"],
+        [("T5", (2, 3, 5, 7), "AH"), ("T", (2, 3, 5, 7, 11), "A"), ("T", (2, 3, 7, 17), "AH")],
+        ids=["T5-7-AH", "T-11-A", "T-17-AH"],
     )
     def test_closure(self, name, primes, kinds):
         seed, config = canonical(name), _grid_config(primes, kinds)
-        trace, calls = _lt_calls(lambda: mean_closure(seed, config))
+        trace, calls = _comparisons(lambda: mean_closure(seed, config))
         n, bound = len(seed), len(trace.final) - 1
         for generation in trace.generations:
             m = len(generation.added)
             n += m
             bound += 2 * n + m * math.ceil(math.log2(n))
         assert calls <= bound
+        if primes[-1] > 13:  # the pair kernel's merges compare Ratios
+            assert calls > 0
+
+
+class TestTablePathComparesNoRatios:
+    """The table path decides every order on integer keys, and the final
+    Scale checks its tones on integer parts: a closure calls no Ratio
+    comparison at all."""
+
+    @pytest.mark.parametrize(
+        "name,primes,kinds",
+        [("T5", (2, 3, 5, 7), "AH"), ("T", (2, 3, 5, 7, 11), "A"),
+         ("T", (2, 3, 5), "AGH"), ("NATURAL", (2, 3, 5, 7), "AG")],
+        ids=["T5-7-AH", "T-11-A", "T-5-AGH", "NATURAL-7-AG"],
+    )
+    def test_closure(self, name, primes, kinds):
+        seed, config = canonical(name), _grid_config(primes, kinds)
+        (trace, calls), probed = _probed(
+            lambda: _comparisons(lambda: mean_closure(seed, config), ("__lt__", "__le__", "__eq__"))
+        )
+        assert trace.fixpoint_reached and len(probed) == len(trace.generations) + 1
+        assert calls == 0
 
 
 def full_rescan_certify(seed, config, trials, rng_seed):

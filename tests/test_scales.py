@@ -1,6 +1,7 @@
 """Diapason folding, canonical scales, fifth cycles, equal temperament."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,32 @@ class TestScale:
             Scale("bad", [ONE, Ratio(3, 2), Ratio(3, 2)])
         with pytest.raises(ValueError):
             Scale("bad", [Ratio(3, 2), ONE])
+
+    @pytest.mark.parametrize(
+        "tones,message",
+        [
+            ([Ratio(1, 2), ONE, TWO], "tone 1/2 outside the diapason [1, 2]"),
+            ([ONE, Ratio(5, 2)], "tone 5/2 outside the diapason [1, 2]"),
+            ([ONE, Ratio(3, 2), Ratio(3, 2), TWO], "tones must strictly increase: 3/2 !< 3/2"),
+            ([ONE, Ratio(3, 2), Ratio(4, 3), TWO], "tones must strictly increase: 3/2 !< 4/3"),
+            # every tone's bound is checked before any neighbour's order
+            ([Ratio(3, 2), ONE, Ratio(9, 4)], "tone 9/4 outside the diapason [1, 2]"),
+        ],
+        ids=["below", "above", "equal", "decreasing", "bound-first"],
+    )
+    def test_errors_name_the_tone(self, tones, message):
+        with pytest.raises(ValueError) as raised:
+            Scale("bad", tones)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("tone", [2, Fraction(3, 2), 1.5], ids=["int", "Fraction", "float"])
+    def test_a_tone_must_be_a_ratio(self, tone):
+        with pytest.raises(TypeError) as compared:
+            ONE <= tone
+        for tones in ([ONE, tone], [Ratio(3, 2), ONE, tone]):  # even after a decreasing pair
+            with pytest.raises(TypeError) as raised:
+                Scale("bad", tones)
+            assert str(raised.value) == str(compared.value)
 
     def test_container_protocol(self):
         s = canonical("T")
