@@ -37,11 +37,12 @@ tone lies in the limit and the set stays narrow, with no pair past
 exponent vector; a fresh tone probes its table neighbours above and
 below, A and H are one addition each, and G pairs the tones whose
 exponent parities agree.  A pass costs about fresh tones × table entries
-instead of fresh tones × tones.  A step above √2 can lead up only from a
-tone below √2 and down only from one above it, so it is probed one way.
-The path orders its tones, witnesses and generations by the exact
-integer key floor(t·2^256) (`_order_key`), and calls no Ratio
-comparison; the final Scale checks its order on integer parts.
+instead of fresh tones × tones.  Tones lie in [1, 2], so a step y/x can
+lead up from a tone f only when y/x <= 2/f and down only when y/x <= f:
+each fresh tone probes only those steps, two windows of the steps sorted
+by y/x.  The path orders its tones, witnesses, generations and windows
+by the exact integer key floor(t·2^256) (`_order_key`), and calls no
+Ratio comparison; the final Scale checks its order on integer parts.
 
 Elsewhere the pair kernel, `_in_limit_means`, yields each in-limit mean
 of the pairs of a sorted tone list that hold a fresh tone, with its pair
@@ -60,6 +61,7 @@ generation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
@@ -210,17 +212,24 @@ def _pack(vector: Sequence[int], bias: int) -> int:
 
 
 @cache
-def _table_steps(restriction: Restriction) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """(b/a, A/a, H/a) as unbiased packed keys, for each table entry whose
-    x, y and x + y factor over `restriction`: b/a = y/x,
-    A/a = (x + y)/2x and H/a = 2y/(x + y).  Split in two: the steps
-    below √2, then those above it (y² > 2x²; no rational step is √2)."""
-    small, large = [], []
+def _table_steps(
+    restriction: Restriction,
+) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, int]]]:
+    """The table entries whose x, y and x + y factor over `restriction`,
+    as steps b/a = y/x in increasing order: their order keys
+    floor(y/x·2^256), their unbiased packed keys, and for each packed
+    key the packed (A/a, H/a) = ((x + y)/2x, 2y/(x + y))."""
+    steps = []
     for x, y in _S_UNIT_PAIRS:
         vectors = [exponents(r, restriction) for r in (Ratio(y, x), Ratio(x + y, 2 * x), Ratio(2 * y, x + y))]
         if None not in vectors:
-            (large if y * y > 2 * x * x else small).append(tuple([_pack(vector, 0) for vector in vectors]))
-    return tuple(small), tuple(large)
+            steps.append(((y << 256) // x, *[_pack(vector, 0) for vector in vectors]))
+    steps.sort()
+    return (
+        tuple([order for order, *_ in steps]),
+        tuple([up for _, up, _, _ in steps]),
+        {up: (to_a, to_h) for _, up, to_a, to_h in steps},
+    )
 
 
 def _order_key(tone: Ratio) -> int:
@@ -233,42 +242,54 @@ def _order_key(tone: Ratio) -> int:
 
 class _Probes:
     """The table path's tone set: each tone as (order key, Ratio) under
-    its packed key, with the keys of the last generation, the fresh
-    ones, split into those below √2 (`low`) and above it (`high`).
+    its packed key, with the last generation, the `fresh` tones, as
+    (packed key, upward window, downward window).
 
-    A pass probes, for each fresh key f and table step, f·y/x and f·x/y
-    in the set (a downward probe that meets a fresh tone skips it: that
-    pair is probed upward), and a pair found adds the keys of its A and
-    H.  Tones lie in [1, 2], so a step y/x above √2 leads up only from a
-    tone below √2 and down only from one above it: a fresh tone probes
-    the small steps both ways and the large ones one way.  G pairs f
-    with the tones whose exponent parities match its own (`buckets`),
-    each pair of fresh tones once.  Each new mean keeps its least
-    witness (a, b, then G < A < H), and one Ratio is built for it.
-    Every order is decided on order keys: a tone has one stored tuple,
-    and the tuples of distinct tones differ in their keys, so comparing
-    witnesses never reaches a Ratio.
+    A pass probes, for each fresh key f, f·y/x and f·x/y in the set for
+    the steps y/x of its windows (a downward probe that meets a fresh
+    tone skips it: that pair is probed upward), and a pair found adds
+    the keys of its A and H.  Tones lie in [1, 2], so f·y/x is a tone
+    only if y/x <= 2/f, and f·x/y only if y/x <= f: f probes up through
+    the steps whose order key is at most floor(2/f·2^256), and down
+    through those whose key is at most its own, two `bisect_right`
+    counts over the sorted steps.  The windows are exact: a step y/x
+    past a bound whose denominator n is at most 2^128 exceeds it by at
+    least 1/xn > 2^-256 (x < 2^15), so its key exceeds the bound's.
+    G pairs f with the tones whose exponent parities match its own
+    (`buckets`), each pair of fresh tones once.  Each new mean keeps its
+    least witness (a, b, then G < A < H), and one Ratio is built for
+    it.  Every order is decided on order keys: a tone has one stored
+    tuple, and the tuples of distinct tones differ in their keys, so
+    comparing witnesses never reaches a Ratio.  `wide` turns True once
+    a tone can pass the guard in a pair, 2pr > 2^128.
     """
 
-    __slots__ = ("tones", "low", "high", "small", "large", "kinds", "mask", "buckets")
+    __slots__ = ("tones", "fresh", "wide", "bounds", "ups", "means", "arithmetic", "harmonic",
+                 "mask", "buckets")
 
     def __init__(self, tones: Iterable[tuple[int, Ratio]], config: GeneratorConfig) -> None:
-        self.tones, self.low, self.high = {}, [], []
-        self.small, self.large = (
-            _table_steps(config.restriction) if config.kinds - {MeanKind.GEOMETRIC} else ((), ())
+        self.tones, self.fresh, self.wide = {}, [], False
+        self.arithmetic = MeanKind.ARITHMETIC in config.kinds
+        self.harmonic = MeanKind.HARMONIC in config.kinds
+        self.bounds, self.ups, self.means = (
+            _table_steps(config.restriction) if self.arithmetic or self.harmonic else ((), (), {})
         )
-        self.kinds = config.kinds
         self.mask = _pack([1] * len(config.restriction.primes), 0)  # each field's low bit
         self.buckets = {} if MeanKind.GEOMETRIC in config.kinds else None
         for key, tone in tones:  # the first pass takes every seed tone as fresh
             self.add(key, tone)
 
     def add(self, key: int, tone: Ratio) -> int:
-        """Put a fresh `tone` in the set under its packed `key`, and
-        return its order key."""
+        """Put a fresh `tone` in the set under its packed `key`, with its
+        two windows, and return its order key."""
+        num, den = tone.num, tone.den
         order = _order_key(tone)
         self.tones[key] = (order, tone)
-        (self.low if tone.num * tone.num < 2 * tone.den * tone.den else self.high).append(key)
+        bounds = self.bounds
+        # upward to floor(2/tone·2^256), downward to the tone's own key
+        self.fresh.append((key, bisect_right(bounds, (2 * den << 256) // num), bisect_right(bounds, order)))
+        if 2 * num * num > MAGNITUDE_LIMIT:
+            self.wide = True
         if self.buckets is not None:
             self.buckets.setdefault(key & self.mask, []).append(key)
         return order
@@ -276,29 +297,27 @@ class _Probes:
     def witnesses(self) -> list[Witness]:
         """One pass: a Witness for each new mean, in the order of the
         means, each mean added to the set as the next pass's fresh."""
-        tones, low, high = self.tones, self.low, self.high
-        fresh = low + high
-        recent = set(fresh)
-        arithmetic = MeanKind.ARITHMETIC in self.kinds
-        harmonic = MeanKind.HARMONIC in self.kinds
-        offers = []  # (mean key, a key, b key, index in _KINDS) for each mean not in the set
-        for steps, ups, downs in ((self.small, fresh, fresh), (self.large, low, high)):
-            for up, to_a, to_h in steps:
-                for f in ups:
-                    if (b := f + up) in tones:
-                        if arithmetic and (m := f + to_a) not in tones:
-                            offers.append((m, f, b, 1))
-                        if harmonic and (m := f + to_h) not in tones:
-                            offers.append((m, f, b, 2))
-                for f in downs:
-                    if (a := f - up) in tones and a not in recent:
-                        if arithmetic and (m := a + to_a) not in tones:
-                            offers.append((m, a, f, 1))
-                        if harmonic and (m := a + to_h) not in tones:
-                            offers.append((m, a, f, 2))
+        tones, fresh, ups, means = self.tones, self.fresh, self.ups, self.means
+        recent = {f for f, _, _ in fresh}
+        arithmetic, harmonic = self.arithmetic, self.harmonic
         buckets, mask = self.buckets, self.mask
-        if buckets is not None:
-            for f in fresh:
+        offers = []  # (mean key, a key, b key, index in _KINDS) for each mean not in the set
+        for f, above, below in fresh:
+            for up in ups[:above]:
+                if (b := f + up) in tones:
+                    to_a, to_h = means[up]
+                    if arithmetic and (m := f + to_a) not in tones:
+                        offers.append((m, f, b, 1))
+                    if harmonic and (m := f + to_h) not in tones:
+                        offers.append((m, f, b, 2))
+            for up in ups[:below]:
+                if (a := f - up) in tones and a not in recent:
+                    to_a, to_h = means[up]
+                    if arithmetic and (m := a + to_a) not in tones:
+                        offers.append((m, a, f, 1))
+                    if harmonic and (m := a + to_h) not in tones:
+                        offers.append((m, a, f, 2))
+            if buckets is not None:
                 for t in buckets[f & mask]:
                     if (t > f or t not in recent) and (m := (f + t) >> 1) not in tones:
                         offers.append((m, f, t, 0) if tones[f][0] < tones[t][0] else (m, t, f, 0))
@@ -307,7 +326,7 @@ class _Probes:
             witness = (tones[a], tones[b], kind)
             if m not in least or witness < least[m]:
                 least[m] = witness
-        self.low, self.high = [], []
+        self.fresh = []
         found = []
         for m, ((_, a), (_, b), kind) in least.items():
             p, q, r, s = a.num, a.den, b.num, b.den
@@ -317,7 +336,8 @@ class _Probes:
                 mean = _from_parts(2 * p * r, p * s + r * q)
             else:
                 mean = mean_geometric(a, b)
-            found.append((self.add(m, mean), Witness(mean, a, b, _KINDS[kind])))
+            # tuple.__new__ skips the namedtuple's Python-level __new__
+            found.append((self.add(m, mean), tuple.__new__(Witness, (mean, a, b, _KINDS[kind]))))
         found.sort(key=itemgetter(0))
         return [witness for _, witness in found]
 
@@ -466,7 +486,7 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
         if probes is None:
             ordered += added
             ordered.sort()  # Timsort merges the sorted runs
-        elif _wide(added):
+        elif probes.wide:
             ordered = probes.ordered()
             probes = None  # from the first wide pass on, the pair kernel and its guard
             current = set(ordered)

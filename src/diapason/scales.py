@@ -54,7 +54,9 @@ class Scale(_Record):
     Any Ratio in [1, 2] is a tone; the constructor enforces the bound
     and the order on integer parts: q <= p <= 2q for each tone p/q, and
     ps < rq for neighbours p/q, r/s.  A tone that is not a Ratio raises
-    the TypeError that comparing it with a Ratio raises.
+    the TypeError that comparing it with a Ratio raises.  `in` asks a
+    set of the tones, built on the first ask, so building a Scale hashes
+    no tone.
     """
 
     __slots__ = ("name", "tones", "_members")
@@ -73,9 +75,6 @@ class Scale(_Record):
                 raise ValueError(f"tones must strictly increase: {left} !< {right}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "tones", tones)
-        # Membership is asked once per cell of a mean table; a tuple scan
-        # there made the table cubic in the scale size.
-        object.__setattr__(self, "_members", frozenset(tones))
 
     def __len__(self) -> int:
         return len(self.tones)
@@ -84,7 +83,14 @@ class Scale(_Record):
         return iter(self.tones)
 
     def __contains__(self, tone: object) -> bool:
-        return tone in self._members
+        # Membership is asked once per cell of a mean table, where a
+        # tuple scan made the table cubic in the scale size.
+        try:
+            members = self._members
+        except AttributeError:
+            members = frozenset(self.tones)
+            object.__setattr__(self, "_members", members)
+        return tone in members
 
     def is_anchored(self) -> bool:
         """Starts on the unison."""

@@ -278,7 +278,12 @@ class TestSUnitTable:
         smooth = [all(oracle.smooth(Fraction(n), primes) for n in (x, y, x + y))
                   for x, y in generator._S_UNIT_PAIRS]
         assert sum(smooth) == count
-        assert sum(map(len, generator._table_steps(Restriction(primes)))) == count
+        bounds, ups, means = generator._table_steps(Restriction(primes))
+        assert len(bounds) == len(ups) == len(means) == count
+        # the steps y/x in increasing order, each under floor(y/x·2^256)
+        assert all(low < high for low, high in zip(bounds, bounds[1:]))
+        keys = [(y << 256) // x for (x, y), ok in zip(generator._S_UNIT_PAIRS, smooth) if ok]
+        assert bounds == tuple(sorted(keys))
 
 
 # 3^38/2^60 times 1, 4/3 and 3/2: a narrow seed in the 5-limit (parts of
@@ -382,10 +387,8 @@ def _step_probes(run):
     table_steps = generator._table_steps
 
     def counted(restriction):
-        return tuple(
-            tuple((Counted(up), to_a, to_h) for up, to_a, to_h in steps)
-            for steps in table_steps(restriction)
-        )
+        bounds, ups, means = table_steps(restriction)
+        return bounds, tuple(map(Counted, ups)), means
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generator, "_table_steps", counted)
@@ -393,32 +396,82 @@ def _step_probes(run):
     return result, probes
 
 
-class TestOctaveSplit:
-    """A step y/x above √2 leads up only from a tone below √2 and down
-    only from one above it, so the table path probes it one way.  Seeds
-    whose tones straddle √2 give the pair kernel's trace, and each fresh
-    tone probes the small steps twice and the large ones once."""
+def _steps(primes):
+    """The table's steps y/x over `primes`, as Fractions."""
+    return [Fraction(y, x) for x, y in generator._S_UNIT_PAIRS
+            if all(oracle.smooth(Fraction(n), primes) for n in (x, y, x + y))]
+
+
+def _window_probes(tone, steps):
+    """How many steps a fresh `tone` needs: those leading up to at most
+    2, and those leading down to at least 1."""
+    f = Fraction(tone.num, tone.den)
+    return sum(f * s <= 2 for s in steps) + sum(s <= f for s in steps)
+
+
+class TestProbeWindows:
+    """A fresh tone f probes up only through the steps y/x <= 2/f and
+    down only through those y/x <= f: every other probe lands outside
+    [1, 2].  The windows are two `bisect_right` counts over the steps'
+    order keys, and they are exact: a step y/x past a bound whose
+    denominator n is at most 2^128 exceeds it by at least 1/xn > 2^-256,
+    so its key lies past the bound's."""
 
     @pytest.mark.parametrize(
-        "tones,primes,kinds,cap,small,large",
+        "tones,primes,kinds,cap",
         [
-            ((Ratio(7, 5), Ratio(10, 7)), (2, 3, 5, 7), "AH", 64, 6, 7),
-            ((Ratio(140, 99), Ratio(99, 70)), (2, 3, 5, 7, 11), "A", 12, 20, 19),
+            ((Ratio(7, 5), Ratio(10, 7)), (2, 3, 5, 7), "AH", 64),
+            ((Ratio(140, 99), Ratio(99, 70)), (2, 3, 5, 7, 11), "A", 12),
+            # T: 4/3 · 3/2 = 2 and 3/2 ÷ 3/2 = 1 sit on the bounds
+            ((Ratio(4, 3), Ratio(3, 2)), (2, 3, 5), "AH", 64),
         ],
-        ids=["7-AH", "11-A-capped"],
+        ids=["straddling-7-AH", "straddling-11-A-capped", "T-5-AH"],
     )
-    def test_straddling_seeds(self, tones, primes, kinds, cap, small, large):
-        seed = Scale("straddling", [ONE, *tones, Ratio(2)])
-        low, high = tones
-        assert low.num**2 < 2 * low.den**2 and high.num**2 > 2 * high.den**2
+    def test_each_fresh_tone_probes_its_windows(self, tones, primes, kinds, cap):
+        seed = Scale("seed", [ONE, *tones, Ratio(2)])
         config = _grid_config(primes, kinds, max_generations=cap)
-        assert tuple(map(len, generator._table_steps(config.restriction))) == (small, large)
         (got, probes), probed = _probed(lambda: _step_probes(lambda: _outcome(seed, config)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generator, "_table_probes", lambda seed, config: None)
             assert got == _outcome(seed, config)
         assert len(probed) == len(got["generations"]) + got["fixpoint"]  # the silent pass
-        assert probes == sum(map(len, probed)) * (2 * small + large)
+        steps = _steps(primes)
+        assert probes == sum(_window_probes(tone, steps) for fresh in probed for tone in fresh)
+
+    @pytest.mark.parametrize(
+        "name,primes,kinds,count",
+        [("T", (2, 3, 5, 7, 11), "A", 6986), ("T5", (2, 3, 5, 7), "AH", 1660),
+         ("T", (2, 3, 5, 7), "A", 261), ("T", (2, 3, 5), "AH", 72)],
+        ids=["T-11-A", "T5-7-AH", "T-7-A", "T-5-AH"],
+    )
+    def test_ladder_probe_counts(self, name, primes, kinds, count):
+        # the octave split at √2 probed 10,738, 2,850, 437 and 144
+        config = _grid_config(primes, kinds)
+        (trace, probes), probed = _probed(lambda: _step_probes(lambda: mean_closure(canonical(name), config)))
+        assert trace.fixpoint_reached
+        steps = _steps(primes)
+        assert probes == sum(_window_probes(tone, steps) for fresh in probed for tone in fresh) == count
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 2**64).flatmap(
+        lambda den: st.integers(den, min(2 * den, 2**64)).map(lambda num: Ratio(num, den))))
+    @example(Ratio(1))
+    @example(Ratio(2))
+    @example(Ratio(4, 3))  # 4/3 · 3/2 = 2
+    @example(Ratio(3, 2))  # 3/2 ÷ 3/2 = 1
+    @example(Ratio(2**64, 2**64 - 1))
+    @example(Ratio(2**64 - 1, 2**63))
+    def test_windows_hold_exactly_the_steps_inside_the_octave(self, tone):
+        config = _grid_config((2, 3, 5, 7, 11, 13), "AH")
+        probes = generator._Probes([], config)
+        probes.add(0, tone)
+        (_, above, below), = probes.fresh
+        steps = sorted(_steps((2, 3, 5, 7, 11, 13)))
+        f = Fraction(tone.num, tone.den)
+        assert all(1 <= f * s <= 2 for s in steps[:above])
+        assert all(f * s > 2 for s in steps[above:])
+        assert all(1 <= f / s <= 2 for s in steps[:below])
+        assert all(f / s < 1 for s in steps[below:])
 
 
 # (q + 1)/q and (2q - 1)/q, q = 2^127 - 1: their arithmetic mean 3q^2/2q^2
@@ -914,7 +967,7 @@ def _probed(run):
     witnesses = generator._Probes.witnesses
 
     def spied(probes):
-        probed.append([probes.tones[key][1] for key in probes.low + probes.high])
+        probed.append([probes.tones[key][1] for key, _, _ in probes.fresh])
         return witnesses(probes)
 
     with pytest.MonkeyPatch.context() as mp:

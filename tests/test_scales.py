@@ -161,6 +161,26 @@ class TestScale:
         with pytest.raises(AttributeError):
             del s.tones
 
+    def test_the_member_set_is_built_on_the_first_ask(self):
+        # A closure's final Scale is often never asked `in`: building it
+        # hashes no tone, and the first ask hashes each tone once.
+        tones, calls = pythagorean_by_diapente(11).tones, 0
+        real = Ratio.__hash__
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return real(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Ratio, "__hash__", counted)
+            s = Scale("fifths", tones)
+            assert calls == 0
+            assert tones[3] in s and Ratio(5, 4) not in s
+            assert calls == len(tones) + 2
+            assert tones[5] in s
+            assert calls == len(tones) + 3
+
     def test_member_set_is_no_field(self):
         # The frozenset behind `in` rides along, but equality, hashing and
         # repr see only the name and the tones.
