@@ -46,11 +46,16 @@ Ratio comparison; the final Scale checks its order on integer parts.
 
 Elsewhere the pair kernel, `_in_limit_means`, yields each in-limit mean
 of the pairs of a sorted tone list that hold a fresh tone, with its pair
-and kind.  `mean_closure` hands off to it for good from the first wide
-pass, with the last generation as fresh, and takes it from the start
-for a prime above 13, a seed tone outside the limit or a wide seed.
-Both paths keep for each mean not yet in the set its least witness
-(least (a, b), then G < A < H), so they give the same trace.
+and kind, and `_Pairs` runs a closure's passes on it.  Both engines have
+one pass interface: `witnesses()` runs a pass and returns its Witnesses
+in the order of their tones, `ordered()` lists the set, and `wide` says
+whether a pair of the set could pass the guard.  `mean_closure` is one
+loop over the engine that holds the set.  It starts on the table path,
+or on `_Pairs` for a prime above 13, a seed tone outside the limit or a
+wide seed, and after the first wide pass it moves the set to `_Pairs`
+for good, with the last generation as fresh.  Both engines keep for
+each mean not yet in the set its least witness (least (a, b), then
+G < A < H), so they give the same trace.
 `generate_means` collects the means of a full pair scan, and
 `closure_order_independence` checks a trace's closedness and each
 tone's generation against one full pair scan of its fixpoint, so the
@@ -65,7 +70,6 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
-from math import gcd
 from operator import itemgetter
 
 from .exact import (
@@ -391,7 +395,8 @@ def _in_limit_means(
     calls `mean_of_kind` for A and H, which raises, naming the pair and
     kind, exactly where that mean's Ratio arithmetic overflows.  Then a
     pair of in-limit tones keeps A and H both or neither, on one test of
-    ps + rq (the module's lemma), and reduces by gcd only a kept mean.
+    ps + rq (the module's lemma), and builds only a kept mean, with one
+    gcd in `exact._from_parts`.
     A seed tone outside the limit breaks the lemma, since a prime that
     both parts hold cancels: 8/7 and 13/7 have A = 147/98 = 3/2 under
     {2, 3}.  A pair holding one decides each mean on its reduced parts.
@@ -430,17 +435,52 @@ def _in_limit_means(
             rough_pair = a_rough or (rough and id(b) in rough)
             if rough_pair or smooth % total == 0:
                 if arithmetic:
-                    den = 2 * q * s
-                    g = gcd(total, den)
-                    num, den = total // g, den // g
-                    if not rough_pair or (smooth % num == 0 and smooth % den == 0):
-                        yield a, b, MeanKind.ARITHMETIC, Ratio(num, den)
+                    mean = _from_parts(total, 2 * q * s)
+                    if not rough_pair or (smooth % mean.num == 0 and smooth % mean.den == 0):
+                        yield a, b, MeanKind.ARITHMETIC, mean
                 if harmonic:
-                    num = 2 * p * r
-                    g = gcd(num, total)
-                    num, den = num // g, total // g
-                    if not rough_pair or (smooth % num == 0 and smooth % den == 0):
-                        yield a, b, MeanKind.HARMONIC, Ratio(num, den)
+                    mean = _from_parts(2 * p * r, total)
+                    if not rough_pair or (smooth % mean.num == 0 and smooth % mean.den == 0):
+                        yield a, b, MeanKind.HARMONIC, mean
+
+
+class _Pairs:
+    """The pair kernel's tone set, with the pass interface of `_Probes`:
+    the sorted `tones`, the novelty set `current` and the last
+    generation as `fresh`, a sorted sub-sequence of `tones` holding the
+    same objects.
+
+    A pass keeps the first (least) witness `_in_limit_means` yields for
+    each mean not in the set, sorts the new tones and merges them into
+    the sorted list (Timsort merges the two runs), and takes them as the
+    next pass's fresh.  The kernel checks the guard on every pair, so
+    the set is never too wide for it: `wide` is always False.
+    """
+
+    __slots__ = ("tones", "current", "fresh", "config")
+    wide = False
+
+    def __init__(self, tones: list[Ratio], fresh: Sequence[Ratio], config: GeneratorConfig) -> None:
+        self.tones, self.current, self.fresh, self.config = tones, set(tones), fresh, config
+
+    def witnesses(self) -> list[Witness]:
+        """One pass: a Witness for each new mean, in the order of the
+        means, each mean added to the set as the next pass's fresh."""
+        current = self.current
+        found = []
+        for a, b, kind, mean in _in_limit_means(self.tones, self.config, self.fresh):
+            if mean not in current:
+                current.add(mean)
+                found.append(Witness(mean, a, b, kind))
+        found.sort(key=itemgetter(0))
+        self.fresh = [witness.tone for witness in found]
+        self.tones += self.fresh
+        self.tones.sort()
+        return found
+
+    def ordered(self) -> list[Ratio]:
+        """Every tone of the set, in increasing order."""
+        return self.tones
 
 
 def generate_means(tones: Scale, config: GeneratorConfig) -> set[Ratio]:
@@ -458,41 +498,22 @@ def mean_closure(seed: Scale, config: GeneratorConfig = GeneratorConfig()) -> Cl
     """Iterate generator passes from `seed` until saturation or the cap."""
     if len(seed.tones) < 2:
         raise ValueError("need at least two tones to take means")
-    ordered = list(seed.tones)  # a Scale's tones strictly increase
-    probes = _table_probes(seed, config)  # None: the pair kernel takes every pass
-    current = set(ordered) if probes is None else set()  # the pair kernel's novelty set, filled at hand-off
+    tones = _table_probes(seed, config) or _Pairs(list(seed.tones), seed.tones, config)
     generations: list[Generation] = []
     fixpoint = False
-    fresh: Sequence[Ratio] = ordered  # the first pass scans every pair
     for _ in range(config.max_generations):
-        if probes is not None:
-            found = probes.witnesses()  # in the order of their tones
-        else:
-            found = []  # novelty is decided by current
-            try:
-                for a, b, kind, mean in _in_limit_means(ordered, config, fresh):
-                    if mean not in current:
-                        current.add(mean)
-                        found.append(Witness(mean, a, b, kind))
-            except RatioOverflowError as error:
-                raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
-            found.sort(key=itemgetter(0))
+        try:
+            found = tones.witnesses()  # in the order of their tones
+        except RatioOverflowError as error:
+            raise RatioOverflowError(f"generation {len(generations) + 1}: {error}") from error
         if not found:
             fixpoint = True
             break
         added = tuple([witness.tone for witness in found])
         generations.append(Generation(added, tuple(found)))
-        fresh = added
-        if probes is None:
-            ordered += added
-            ordered.sort()  # Timsort merges the sorted runs
-        elif probes.wide:
-            ordered = probes.ordered()
-            probes = None  # from the first wide pass on, the pair kernel and its guard
-            current = set(ordered)
-    if probes is not None:
-        ordered = probes.ordered()
-    final = Scale(f"{seed.name}-closure", ordered)
+        if tones.wide:  # from the first wide pass on, the pair kernel and its guard
+            tones = _Pairs(tones.ordered(), added, config)
+    final = Scale(f"{seed.name}-closure", tones.ordered())
     return ClosureTrace(seed, tuple(generations), fixpoint, final)
 
 

@@ -307,22 +307,35 @@ class TestHandOff:
     overflow message, byte for byte."""
 
     @pytest.mark.parametrize(
-        "primes,kinds,table_passes,overflow",
-        [((2, 3, 5), "AH", 2, 3), ((2, 3, 5, 7), "A", 3, None), ((2, 3, 5, 7), "AH", 2, 3)],
+        "primes,kinds,table_passes,pair_passes,overflow",
+        [((2, 3, 5), "AH", 2, 1, 3), ((2, 3, 5, 7), "A", 3, 3, None), ((2, 3, 5, 7), "AH", 2, 1, 3)],
         ids=["5-AH", "7-A", "7-AH"],
     )
-    def test_a_seed_that_turns_wide(self, primes, kinds, table_passes, overflow):
+    def test_a_seed_that_turns_wide(self, primes, kinds, table_passes, pair_passes, overflow):
         config = _grid_config(primes, kinds, max_generations=10)
         assert not generator._wide(_WIDENING.tones)
-        got, probed = _probed(lambda: _outcome(_WIDENING, config))
-        assert len(probed) == table_passes
+        got, probed, paired = _probed(lambda: _outcome(_WIDENING, config))
+        assert (len(probed), len(paired)) == (table_passes, pair_passes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generator, "_table_probes", lambda seed, config: None)
             assert got == _outcome(_WIDENING, config)
         if overflow is None:
             assert got["fixpoint"] is True
+            assert table_passes + pair_passes == len(got["generations"]) + 1  # the silent pass
         else:
             assert got.startswith(f"generation {overflow}: ratio part exceeds 128 bits")
+            assert table_passes + pair_passes == overflow  # the pass that raises
+
+    def test_the_cap_stops_the_pair_engine(self):
+        # three table passes, the third wide, then one pair pass: the cap
+        # of four stops the closure with no silent pass
+        config = _grid_config((2, 3, 5, 7), "A", max_generations=4)
+        got, probed, paired = _probed(lambda: _outcome(_WIDENING, config))
+        assert (len(probed), len(paired)) == (3, 1)
+        assert got["fixpoint"] is False and len(got["generations"]) == 4
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generator, "_table_probes", lambda seed, config: None)
+            assert got == _outcome(_WIDENING, config)
 
 
 def _fibonacci_below(bound):
@@ -430,7 +443,7 @@ class TestProbeWindows:
     def test_each_fresh_tone_probes_its_windows(self, tones, primes, kinds, cap):
         seed = Scale("seed", [ONE, *tones, Ratio(2)])
         config = _grid_config(primes, kinds, max_generations=cap)
-        (got, probes), probed = _probed(lambda: _step_probes(lambda: _outcome(seed, config)))
+        (got, probes), probed, _ = _probed(lambda: _step_probes(lambda: _outcome(seed, config)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generator, "_table_probes", lambda seed, config: None)
             assert got == _outcome(seed, config)
@@ -447,7 +460,7 @@ class TestProbeWindows:
     def test_ladder_probe_counts(self, name, primes, kinds, count):
         # the octave split at √2 probed 10,738, 2,850, 437 and 144
         config = _grid_config(primes, kinds)
-        (trace, probes), probed = _probed(lambda: _step_probes(lambda: mean_closure(canonical(name), config)))
+        (trace, probes), probed, _ = _probed(lambda: _step_probes(lambda: mean_closure(canonical(name), config)))
         assert trace.fixpoint_reached
         steps = _steps(primes)
         assert probes == sum(_window_probes(tone, steps) for fresh in probed for tone in fresh) == count
@@ -918,14 +931,14 @@ def _mean_calls(run):
     """What `run()` returns, and how many means it had the pair kernel compute.
 
     The kernel calls `mean_geometric` for each pair's geometric mean.  It
-    reduces an arithmetic or harmonic mean with one `gcd` call only when
-    it keeps it, or when the pair holds a tone outside the limit; a pair
-    of in-limit tones keeps both or neither, on one divisibility test of
-    ps + rq that calls none of these.  Past the 128-bit guard it calls
-    `mean_of_kind`.  So the calls count the pairs scanned, once per kind
-    that computes a mean there.  The table path builds its means from
-    `exact`'s integer helpers, and calls `mean_geometric` only once per
-    new geometric tone.
+    builds an arithmetic or harmonic mean with one `_from_parts` call
+    only when it keeps it, or when the pair holds a tone outside the
+    limit; a pair of in-limit tones keeps both or neither, on one
+    divisibility test of ps + rq that calls none of these.  Past the
+    128-bit guard it calls `mean_of_kind`.  So the calls count the pairs
+    scanned, once per kind that computes a mean there.  The table path
+    calls `_from_parts` once per new arithmetic or harmonic tone, and
+    `mean_geometric` once per new geometric tone.
     """
     calls = 0
 
@@ -938,7 +951,7 @@ def _mean_calls(run):
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("gcd", "mean_geometric", "mean_of_kind"):
+        for name in ("_from_parts", "mean_geometric", "mean_of_kind"):
             mp.setattr(generator, name, counting(getattr(generator, name)))
         result = run()
     return result, calls
@@ -961,19 +974,24 @@ def _pair_means(tones, config):
 
 
 def _probed(run):
-    """What `run()` returns, and the tones each table-path pass probed as
-    fresh, one list per pass."""
-    probed = []
-    witnesses = generator._Probes.witnesses
+    """What `run()` returns, then the tones each table-path pass and each
+    pair-kernel pass took as fresh: two lists, one entry per pass."""
+    probed, paired = [], []
+    probe_witnesses, pair_witnesses = generator._Probes.witnesses, generator._Pairs.witnesses
 
-    def spied(probes):
+    def probe_spied(probes):
         probed.append([probes.tones[key][1] for key, _, _ in probes.fresh])
-        return witnesses(probes)
+        return probe_witnesses(probes)
+
+    def pair_spied(pairs):
+        paired.append(list(pairs.fresh))
+        return pair_witnesses(pairs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generator._Probes, "witnesses", spied)
+        mp.setattr(generator._Probes, "witnesses", probe_spied)
+        mp.setattr(generator._Pairs, "witnesses", pair_spied)
         result = run()
-    return result, probed
+    return result, probed, paired
 
 
 # T under {2, 3, 7, 17} closes to 7, 24 and 66 tones under A, AH and AGH:
@@ -995,7 +1013,7 @@ class TestEachPairOnce:
     @pytest.mark.parametrize("name,primes,kinds", _GRID)
     def test_closure(self, name, primes, kinds):
         config = _grid_config(primes, kinds)
-        trace, probed = _probed(lambda: mean_closure(canonical(name), config))
+        trace, probed, _ = _probed(lambda: mean_closure(canonical(name), config))
         assert trace.fixpoint_reached
         assert len(probed) == len(trace.generations) + 1
         assert sorted(tone for fresh in probed for tone in fresh) == list(trace.final.tones)
@@ -1003,8 +1021,9 @@ class TestEachPairOnce:
     @pytest.mark.parametrize("seed,primes,kinds", _PAIR_KERNEL_CLOSURES)
     def test_pair_kernel(self, seed, primes, kinds):
         config = _grid_config(primes, kinds)
-        (trace, calls), probed = _probed(lambda: _mean_calls(lambda: mean_closure(seed, config)))
+        (trace, calls), probed, paired = _probed(lambda: _mean_calls(lambda: mean_closure(seed, config)))
         assert trace.fixpoint_reached and probed == []
+        assert len(paired) == len(trace.generations) + 1
         assert calls == _pair_means(trace.final.tones, config)
 
     @pytest.mark.parametrize(
@@ -1013,14 +1032,16 @@ class TestEachPairOnce:
         ids=["NATURAL-5-A", "T-5-AH", "T-7-A"],
     )
     def test_certifier(self, name, primes, kinds):
-        # the batch closure takes the table path; the certifier scans
-        # the pairs of the fixpoint once
+        # the batch closure takes the table path and builds each new A
+        # or H tone once; the certifier scans the pairs of the fixpoint once
         config = _grid_config(primes, kinds)
         certified, calls = _mean_calls(
             lambda: closure_order_independence(canonical(name), config, trials=5)
         )
         assert certified is True
-        assert calls == _pair_means(mean_closure(canonical(name), config).final.tones, config)
+        batch = mean_closure(canonical(name), config)
+        built = sum(w.kind is not MeanKind.GEOMETRIC for g in batch.generations for w in g.witnesses)
+        assert calls == _pair_means(batch.final.tones, config) + built
 
 
 def _comparisons(run, names=("__lt__",)):
@@ -1084,7 +1105,7 @@ class TestTablePathComparesNoRatios:
     )
     def test_closure(self, name, primes, kinds):
         seed, config = canonical(name), _grid_config(primes, kinds)
-        (trace, calls), probed = _probed(
+        (trace, calls), probed, _ = _probed(
             lambda: _comparisons(lambda: mean_closure(seed, config), ("__lt__", "__le__", "__eq__"))
         )
         assert trace.fixpoint_reached and len(probed) == len(trace.generations) + 1

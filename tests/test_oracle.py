@@ -193,6 +193,30 @@ def test_closure_matches_the_oracle(seed, primes, kinds):
         assert len(trace.generations) == cap
 
 
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.one_of(table_limits, limits), kind_sets)
+def test_fresh_pairs_and_idempotence(seed, primes, kinds):
+    # An in-limit seed takes the table path; a seed tone outside the
+    # limit (7/4 under {2, 3, 5}, 5/4 under {2, 3}) takes the pair kernel.
+    cap = MAX_GENERATIONS if max(primes) <= 7 else 3
+    config = GeneratorConfig(kinds=kinds, restriction=Restriction(primes), max_generations=cap)
+    trace = mean_closure(
+        Scale("seed", [Ratio(t.numerator, t.denominator) for t in seed]), config
+    )
+    seed_tones, previous = set(trace.seed.tones), None
+    for generation in trace.generations:
+        for w in generation.witnesses:
+            if previous is None:  # generation 1 pairs seed tones
+                assert w.a in seed_tones and w.b in seed_tones
+            else:  # the fresh-pair lemma: a pair holds a tone of the last generation
+                assert w.a in previous or w.b in previous
+        previous = set(generation.added)
+    if trace.fixpoint_reached:
+        again = mean_closure(trace.final, config)
+        assert again.generations == () and again.fixpoint_reached
+        assert again.final.tones == trace.final.tones
+
+
 # iota(t) = 2/t maps [1, 2] onto itself and keeps a tone inside or outside
 # any limit that holds 2; it swaps the arithmetic and harmonic means and
 # keeps the geometric one.
