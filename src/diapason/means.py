@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 
-from .exact import TWO, Ratio, RatioOverflowError, _sqrt_of_parts
+from .exact import TWO, Ratio, RatioOverflowError, _from_parts, _sqrt_of_parts
 
 __all__ = [
     "MeanKind",
@@ -32,9 +32,7 @@ class MeanKind(enum.Enum):
 
 def mean_arithmetic(a: Ratio, b: Ratio) -> Ratio:
     """(a + b) / 2, exact."""
-    # One Ratio from integer parts: a single reduction, where (a + b) / 2
-    # builds three Ratios on the closure's hottest line.
-    return Ratio(a.num * b.den + b.num * a.den, 2 * a.den * b.den)
+    return _from_parts(a.num * b.den + b.num * a.den, 2 * a.den * b.den)
 
 
 def mean_harmonic(a: Ratio, b: Ratio) -> Ratio:

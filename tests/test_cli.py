@@ -275,6 +275,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, "scale", "equal:N=0")
         assert code == EXIT_USAGE
 
+    def test_too_many_divisions(self, capsys, monkeypatch):
+        # the bound is checked before a single degree is built
+        def refuse(N):
+            raise AssertionError("equal_temperament ran")
+
+        monkeypatch.setattr(cli, "equal_temperament", refuse)
+        code, out, err = run(capsys, "scale", f"equal:N={cli.MAX_DIVISIONS + 1}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"N must be <= {cli.MAX_DIVISIONS}" in err
+
+    def test_divisions_at_the_bound_render(self, capsys):
+        code, out, _ = run(capsys, "scale", f"equal:N={cli.MAX_DIVISIONS}", "--format", "csv")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == cli.MAX_DIVISIONS + 2  # header and N + 1 degrees
+
     def test_no_arguments(self, capsys):
         code, _, err = run(capsys)
         assert code == EXIT_USAGE
